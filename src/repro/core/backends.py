@@ -12,9 +12,7 @@ lets that product be served by interchangeable kernels, selected via
 ``"tiled"``
     A cache-tiled pure-numpy CSC rank-stripe kernel that reproduces the
     scipy accumulation order **exactly** (float64 output is
-    ``np.array_equal`` to the numpy backend), with an optional numba JIT
-    inner loop when numba is importable (``REPRO_NUMBA=0`` disables the
-    JIT without uninstalling anything).
+    ``np.array_equal`` to the numpy backend).
 ``"float32"``
     Single-precision SpMM: the block and matrix are downcast to float32
     for the multiply and the result upcast to float64.  Cheap on
@@ -55,7 +53,6 @@ the differential harness re-pins for every registered name.
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -75,7 +72,6 @@ __all__ = [
     "available_backends",
     "backend_numeric",
     "get_backend",
-    "numba_available",
     "register_backend",
     "stripe_bounds",
     "validate_backend",
@@ -84,11 +80,6 @@ __all__ = [
 #: The backend every policy uses unless told otherwise: scipy's own
 #: kernels, i.e. exactly the arithmetic all pinned values came from.
 DEFAULT_BACKEND = "numpy"
-
-#: Environment kill-switch for the optional numba JIT inside the tiled
-#: backend: ``REPRO_NUMBA=0`` forces the pure-numpy stripe kernel even
-#: when numba is importable (CI runs the differential harness both ways).
-_NUMBA_ENV = "REPRO_NUMBA"
 
 #: Columns per tile in the pure-numpy stripe kernel: small enough that a
 #: tile's output columns stay cache-resident across its stripes, large
@@ -129,22 +120,6 @@ FLOAT32_CURVE_ATOL = 1e-4
 FLOAT32_TIME_SLACK = 1
 
 
-def numba_available() -> bool:
-    """True when the tiled backend may JIT its inner loop with numba.
-
-    Requires numba to be importable *and* ``REPRO_NUMBA`` unset/non-zero
-    — the env switch lets CI exercise the pure-numpy stripe kernel on
-    machines where numba happens to be installed.
-    """
-    if os.environ.get(_NUMBA_ENV, "") == "0":
-        return False
-    try:
-        import numba  # noqa: F401  (probe import)
-    except Exception:
-        return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # Kernel factories
 # ----------------------------------------------------------------------
@@ -175,31 +150,6 @@ def _csc_arrays(matrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-_NUMBA_KERNEL_CACHE: Dict[str, Any] = {}
-
-
-def _numba_csc_kernel():
-    """Compile (once) the JIT inner loop replicating ``csc_matvecs``."""
-    kernel = _NUMBA_KERNEL_CACHE.get("csc")
-    if kernel is None:
-        import numba
-
-        @numba.njit(cache=False)
-        def csc_spmm(indptr, rows, vals, x, out):  # pragma: no cover - jit
-            ncols = indptr.shape[0] - 1
-            nrows = x.shape[0]
-            for j in range(ncols):
-                for k in range(indptr[j], indptr[j + 1]):
-                    r = rows[k]
-                    v = vals[k]
-                    for i in range(nrows):
-                        out[i, j] += x[i, r] * v
-
-        kernel = csc_spmm
-        _NUMBA_KERNEL_CACHE["csc"] = kernel
-    return kernel
-
-
 def _prepare_tiled(matrix) -> Callable[[np.ndarray], np.ndarray]:
     """Cache-tiled CSC rank-stripe SpMM, bit-identical to the oracle.
 
@@ -210,22 +160,10 @@ def _prepare_tiled(matrix) -> Callable[[np.ndarray], np.ndarray]:
     the order scipy's ``csc_matvecs`` does — same floating-point
     sequence, same bits.  Columns are processed in tiles of
     :data:`_TILE_COLS` so a tile's output columns stay hot across its
-    stripes.  When :func:`numba_available`, the per-element loop is
-    JIT-compiled instead (identical accumulation order).
+    stripes.
     """
     indptr, rows, vals = _csc_arrays(matrix)
     n_cols = indptr.shape[0] - 1
-    if numba_available():
-        kernel = _numba_csc_kernel()
-
-        def step(block: np.ndarray) -> np.ndarray:
-            x = np.ascontiguousarray(block, dtype=np.float64)
-            out = np.zeros((x.shape[0], n_cols), dtype=np.float64)
-            kernel(indptr, rows, vals, x, out)
-            return out
-
-        return step
-
     deg = np.diff(indptr)
     tiles: List[Tuple[int, int, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]] = []
     for lo in range(0, n_cols, _TILE_COLS):
@@ -332,9 +270,6 @@ def _apply_csc_stripe(
     dense block for every stripe.
     """
     width = int(local_indptr.shape[0]) - 1
-    if numba_available():
-        _numba_csc_kernel()(local_indptr, rows, vals, x, out[:, col_offset:col_offset + width])
-        return
     if not vals.size:
         return
     from scipy.sparse import csr_matrix
@@ -400,7 +335,7 @@ def _prepare_streaming(
                 col0, local_indptr, rows, vals = load(0)
                 _apply_csc_stripe(x, out, col0, local_indptr, rows, vals)
             return out
-        xT = None if numba_available() else np.ascontiguousarray(x.T)
+        xT = np.ascontiguousarray(x.T)
         # Double buffer: a helper thread keeps up to two stripes staged
         # while the main thread multiplies.  The thread lives for one
         # step call only, so nothing leaks if the operator is dropped.
@@ -542,7 +477,7 @@ register_backend(
         numeric="float64",
         factory=_prepare_tiled,
         description="cache-tiled CSC rank-stripe kernel, bit-identical to "
-        "the oracle; numba-JIT inner loop when importable",
+        "the oracle",
     )
 )
 register_backend(

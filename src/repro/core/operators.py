@@ -39,6 +39,7 @@ laziness settings and chunk boundaries.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -337,10 +338,24 @@ class MarkovOperator(ABC):
             rows=int(x.shape[0]),
             steps=int(steps),
         ):
-            if policy.workers is not None:
-                from .parallel import maybe_parallel_evolve_block
+            if policy.workers is not None and steps > 0:
+                from .parallel import Sweep, run_sweep
 
-                out = maybe_parallel_evolve_block(self, x, steps, policy=policy)
+                state = {
+                    "operator": self,
+                    "block": x,
+                    "steps": steps,
+                    "policy": _shard_policy(policy),
+                }
+                spec = Sweep(
+                    "evolve",
+                    x.shape[0],
+                    _evolve_kernel,
+                    state,
+                    operator=self,
+                    sliced=("block",),
+                )
+                out = run_sweep(spec, policy)
                 if out is not None:
                     return out
             if OBS.enabled:
@@ -439,11 +454,25 @@ class MarkovOperator(ABC):
             max_walk=int(lengths[-1]),
         ) as span:
             if policy.workers is not None or policy.checkpoint_dir is not None:
-                from .parallel import maybe_parallel_variation_curves
+                from .parallel import Sweep, run_sweep
 
-                out = maybe_parallel_variation_curves(
-                    self, src, lengths, reference=ref, policy=policy
+                state = {
+                    "operator": self,
+                    "sources": src,
+                    "lengths": lengths,
+                    "reference": ref,
+                    "policy": _shard_policy(policy),
+                }
+                spec = Sweep(
+                    "curves",
+                    src.size,
+                    _curves_kernel,
+                    state,
+                    operator=self,
+                    sliced=("sources",),
+                    fingerprint=(src, lengths),
                 )
+                out = run_sweep(spec, policy)
                 if out is not None:
                     return out
             chunk_rows = resolve_block_size(
@@ -526,18 +555,28 @@ class MarkovOperator(ABC):
             max_steps=int(max_steps),
         ) as span:
             if policy.workers is not None or policy.checkpoint_dir is not None:
-                from .parallel import maybe_parallel_hitting_times
+                from .parallel import Sweep, run_sweep
 
-                out = maybe_parallel_hitting_times(
-                    self,
-                    src,
-                    epsilon,
-                    max_steps=max_steps,
-                    reference=ref,
-                    policy=policy,
+                state = {
+                    "operator": self,
+                    "sources": src,
+                    "epsilon": epsilon,
+                    "max_steps": max_steps,
+                    "reference": ref,
+                    "policy": _shard_policy(policy),
+                }
+                spec = Sweep(
+                    "hitting",
+                    src.size,
+                    _hitting_kernel,
+                    state,
+                    operator=self,
+                    sliced=("sources",),
+                    fingerprint=(src, float(epsilon), int(max_steps)),
                 )
+                out = run_sweep(spec, policy)
                 if out is not None:
-                    return out
+                    return HittingTimes(*out)
             chunk_rows = resolve_block_size(
                 self._num_states,
                 policy.block_size,
@@ -708,3 +747,37 @@ class MarkovOperator(ABC):
                     x = x[~hit]
                     active = active[~hit]
         return HittingTimes(times=times, final_distances=final)
+
+
+# ----------------------------------------------------------------------
+# Sweep kernels: one shard of each block API, for repro.core.parallel
+# ----------------------------------------------------------------------
+def _shard_policy(policy: ExecutionPolicy) -> ExecutionPolicy:
+    """What one shard runs under: the same numerics, no fan-out, no checkpoints."""
+    return replace(policy, workers=None, checkpoint_dir=None)
+
+
+def _curves_kernel(state, lo: int, hi: int) -> np.ndarray:
+    return state["operator"].variation_curves(
+        state["sources"],
+        state["lengths"],
+        reference=state["reference"],
+        policy=state["policy"],
+    )
+
+
+def _hitting_kernel(state, lo: int, hi: int):
+    result = state["operator"].hitting_times(
+        state["sources"],
+        state["epsilon"],
+        max_steps=state["max_steps"],
+        reference=state["reference"],
+        policy=state["policy"],
+    )
+    return result.times, result.final_distances
+
+
+def _evolve_kernel(state, lo: int, hi: int) -> np.ndarray:
+    return state["operator"].evolve_block(
+        state["block"], state["steps"], policy=state["policy"]
+    )

@@ -27,56 +27,63 @@ Design
   order — parallel output is therefore **bit-for-bit identical** to the
   serial block path (``tests/core/test_parallel.py`` pins this for every
   operator flavour, worker count and chunk boundary).
-* **Deterministic reassembly.**  Sources are sharded into contiguous
-  ``np.array_split`` slices; ``Pool.map`` preserves task order, and the
-  parent concatenates shard results positionally.  Scheduling order can
-  vary; output order and values cannot.
-* **Serial fallback.**  Every ``maybe_parallel_*`` entry point returns
-  ``None`` — and the caller runs the proven serial path — when
-  ``workers`` resolves to <= 1, the platform cannot ``fork`` (the pool
-  relies on copy-on-write module state), shared memory is unavailable,
-  ``REPRO_PARALLEL=0`` is set, or the operator carries a custom
-  ``_apply_block`` this runtime does not know how to replicate.
+* **Deterministic reassembly.**  Rows are sharded into contiguous
+  ranges and the parent concatenates shard results positionally.
+  Scheduling order can vary; output order and values cannot.
+* **One spec, one driver.**  Each sweep kind (variation curves, hitting
+  times, block evolution, originator-biased curves, route tails, route
+  hits) is declared once as a :class:`Sweep` by the module that owns it:
+  a row count, a module-level ``kernel(state, lo, hi)``, the state the
+  kernel reads, what workers attach to, and the checkpoint fingerprint.
+  :func:`run_sweep` runs any of them; it alone decides between serial,
+  threads and processes, checkpoints, publishes and hands the shards to
+  the fault-tolerant executor (:func:`repro.core.runtime.run_sharded`).
+* **Serial fallback.**  :func:`run_sweep` returns ``None`` — and the
+  caller runs the proven serial path — when the sweep has no rows, when
+  it neither fans out nor checkpoints, or when the operator carries a
+  custom ``_apply_block`` this runtime does not know how to replicate.
+  A sweep fans out when ``workers`` resolves to more than one worker
+  and more than one row, and the execution mode is available:
+  ``"processes"`` needs ``fork`` (the pool relies on copy-on-write
+  module state) and shared memory; ``REPRO_PARALLEL=0`` vetoes both
+  modes.  It checkpoints, even serially, when ``checkpoint_dir`` is set
+  and the sweep has a fingerprint.
 
-The public surface for callers is the ``workers=`` keyword on the
-:class:`~repro.core.operators.MarkovOperator` block APIs (and the
-``--workers`` CLI flag / ``ExperimentConfig.workers`` knob above them);
-the functions here are the runtime those keywords dispatch to.
+Callers reach this runtime through ``policy=ExecutionPolicy(workers=…,
+execution=…, checkpoint_dir=…)`` on the
+:class:`~repro.core.operators.MarkovOperator` block APIs, the trust and
+Sybil sweeps (and the ``--workers`` CLI flag / ``ExperimentConfig``
+policy above them).
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import os
 import signal
 import threading
 import time
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..obs import OBS
-from .operators import HittingTimes, MarkovOperator, resolve_block_size
+from .operators import MarkovOperator
 from .runtime import DEFAULT_POLICY, ExecutionPolicy, run_sharded, sweep_fingerprint
 
 __all__ = [
     "OperatorPayload",
-    "RoutePayload",
     "SharedOperatorHandle",
+    "Sweep",
     "cleanup_published_segments",
     "describe_operator",
     "install_signal_cleanup",
-    "maybe_parallel_evolve_block",
-    "maybe_parallel_hitting_times",
-    "maybe_parallel_originator_curves",
-    "maybe_parallel_route_hits",
-    "maybe_parallel_route_tails",
-    "maybe_parallel_variation_curves",
     "parallel_backend_available",
     "pin_published_operator",
     "publish_operator",
-    "publish_route_state",
     "resolve_workers",
+    "run_sweep",
     "unpin_published_operator",
 ]
 
@@ -197,16 +204,18 @@ class _ArrayField(NamedTuple):
 
 
 class OperatorPayload(NamedTuple):
-    """Picklable description of a published operator.
+    """Picklable description of one published segment.
 
     Only this tiny tuple crosses the process boundary per task — the
-    arrays themselves live in the named shared-memory segment.
+    arrays themselves live in the named shared-memory segment.  Kind
+    ``"arrays"`` is a plain set of named arrays (route-engine state);
+    every other kind is an operator workers rebuild.
     """
 
-    kind: str  # "csr" | "teleport" | "originator" | "mmap"
-    num_states: int
+    kind: str  # "csr" | "teleport" | "originator" | "mmap" | "arrays"
     shm_name: str
     fields: Tuple[_ArrayField, ...]
+    num_states: int = 0
     damping: float = 1.0
     beta: float = 0.0
     #: ``"mmap"`` only: the on-disk ``.csr`` container workers re-map
@@ -214,24 +223,6 @@ class OperatorPayload(NamedTuple):
     #: of the striped transition matrix rebuilt on top of it.
     path: Optional[str] = None
     alpha: float = 0.0
-
-
-class RoutePayload(NamedTuple):
-    """Picklable description of published random-route state.
-
-    The segment carries the route engine's graph-derived arrays (arc
-    sources + reverse-slot map, or a built ``next_slot`` table) plus any
-    per-sweep state (pre-drawn start slots, node masks); instance seeds
-    never cross the boundary as data — workers re-derive them from the
-    root ``entropy`` via ``SeedSequence(entropy, spawn_key=(i,))``,
-    which reconstructs ``root.spawn(n)[i]`` exactly.
-    """
-
-    kind: str  # "route_tails" | "route_hits"
-    num_nodes: int
-    shm_name: str
-    fields: Tuple[_ArrayField, ...]
-    entropy: object = None
 
 
 class SharedOperatorHandle:
@@ -380,7 +371,7 @@ def install_signal_cleanup(signums: Tuple[int, ...] = (signal.SIGTERM,)) -> None
 # against the same graph: every request would re-pack the CSR arrays
 # into a fresh segment.  The service's OperatorRegistry instead *pins*
 # the publication: the segment stays live across requests and
-# ``maybe_parallel_*`` sweeps check the pin table before publishing.
+# :func:`run_sweep` checks the pin table before publishing.
 # Pins are keyed by the identity of the operator's CSR matrix (the
 # object the registry keeps alive for exactly as long as the pin, so id
 # reuse cannot alias) and record the published reference vector; a sweep
@@ -444,7 +435,7 @@ def unpin_published_operator(operator) -> bool:
 class _LeasedPublication:
     """Context manager: a pinned segment if one matches, else a fresh one.
 
-    The sweep wrappers use this in place of ``with publish_operator(...)``:
+    :func:`run_sweep` uses this in place of ``with publish_operator(...)``:
     exit closes (unlinks) the segment only when this sweep published it —
     pinned segments outlive the sweep by design.
     """
@@ -476,7 +467,7 @@ def _copy_fields(
 ) -> None:
     """Copy each source array into its slot inside the shared segment.
 
-    Module-level (rather than inlined in :func:`publish_operator`) so the
+    Module-level (rather than inlined in :func:`_publish`) so the
     leak-safety tests can monkeypatch it to fail and assert the segment
     is unlinked on the error path.
     """
@@ -511,19 +502,10 @@ def publish_operator(
 ) -> SharedOperatorHandle:
     """Pack CSR arrays (+ reference / dangling mask) into one segment.
 
-    Arrays are laid out back-to-back at cache-line alignment; the
-    returned handle's :attr:`~SharedOperatorHandle.payload` records the
-    layout so workers can rebuild zero-copy views.
-
-    Exception-safe: if anything after segment creation fails (the copy,
-    payload assembly, …) the segment is closed **and unlinked** before
-    the exception propagates, so a failed publish never leaves a stray
-    ``/dev/shm`` entry behind (``tests/core/test_parallel_safety.py``).
+    The returned handle's :attr:`~SharedOperatorHandle.payload` records
+    the layout and the operator's dynamics so workers can rebuild it on
+    zero-copy views (:func:`_worker_operator`).
     """
-    from multiprocessing import shared_memory
-
-    publish_start = time.perf_counter() if OBS.enabled else 0.0
-
     named: List[Tuple[str, np.ndarray]] = []
     path = None
     alpha = 0.0
@@ -535,62 +517,34 @@ def publish_operator(
     else:
         named.extend(
             [
-                ("data", np.ascontiguousarray(matrix.data)),
-                ("indices", np.ascontiguousarray(matrix.indices)),
-                ("indptr", np.ascontiguousarray(matrix.indptr)),
+                ("data", matrix.data),
+                ("indices", matrix.indices),
+                ("indptr", matrix.indptr),
             ]
         )
     if reference is not None:
-        named.append(("reference", np.ascontiguousarray(reference)))
+        named.append(("reference", reference))
     if dangling is not None:
-        named.append(("dangling", np.ascontiguousarray(dangling)))
-
-    fields, offset = _layout_fields(named)
-    shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-    try:
-        _copy_fields(shm, fields, named)
-        payload = OperatorPayload(
-            kind=kind,
-            num_states=int(matrix.shape[0]),
-            shm_name=shm.name,
-            fields=tuple(fields),
-            damping=float(damping),
-            beta=float(beta),
-            path=path,
-            alpha=alpha,
-        )
-        handle = SharedOperatorHandle(payload, shm)
-        _register_segment(shm)
-    except BaseException:
-        # Never leak the segment: close our mapping and unlink the name.
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        raise
-    if OBS.enabled:
-        OBS.add("parallel.publishes")
-        OBS.add("parallel.publish_bytes", int(shm.size))
-        OBS.observe("parallel.publish_seconds", time.perf_counter() - publish_start)
-    return handle
+        named.append(("dangling", dangling))
+    return _publish(
+        kind,
+        named,
+        num_states=int(matrix.shape[0]),
+        damping=float(damping),
+        beta=float(beta),
+        path=path,
+        alpha=alpha,
+    )
 
 
-def publish_route_state(
-    kind: str,
-    named: List[Tuple[str, np.ndarray]],
-    *,
-    num_nodes: int,
-    entropy=None,
-) -> SharedOperatorHandle:
-    """Pack route-engine arrays into one shared segment.
+def _publish(kind: str, named, **payload_fields) -> SharedOperatorHandle:
+    """Create one segment holding ``named`` arrays: the only creation path.
 
-    The route analogue of :func:`publish_operator`: same segment format
-    (back-to-back cache-line-aligned arrays described by
-    ``_ArrayField`` records), same exception-safe unlink-on-failure
-    contract, same single-publish-per-sweep lifecycle — only the payload
-    type differs (:class:`RoutePayload` carries the root seed entropy so
-    workers can rebuild per-instance tables without shipping them).
+    Arrays are laid out back-to-back at cache-line alignment.
+    Exception-safe: if anything after segment creation fails (the copy,
+    payload assembly, …) the segment is closed **and unlinked** before
+    the exception propagates, so a failed publish never leaves a stray
+    ``/dev/shm`` entry behind (``tests/core/test_parallel_safety.py``).
     """
     from multiprocessing import shared_memory
 
@@ -600,12 +554,8 @@ def publish_route_state(
     shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
     try:
         _copy_fields(shm, fields, named)
-        payload = RoutePayload(
-            kind=kind,
-            num_nodes=int(num_nodes),
-            shm_name=shm.name,
-            fields=tuple(fields),
-            entropy=entropy,
+        payload = OperatorPayload(
+            kind=kind, shm_name=shm.name, fields=tuple(fields), **payload_fields
         )
         handle = SharedOperatorHandle(payload, shm)
         _register_segment(shm)
@@ -634,8 +584,9 @@ _ATTACHED: Dict[str, Tuple[object, Dict[str, np.ndarray], dict]] = {}
 
 #: Seconds the most recent :func:`_attach` in *this process* spent
 #: mapping the segment (0.0 when it hit the cache).  Read by
-#: :func:`_timed_task` so per-worker attach latency travels back to the
-#: parent alongside task results without a second IPC channel.
+#: :func:`repro.core.runtime._worker_shard` so per-worker attach latency
+#: travels back to the parent alongside task results without a second
+#: IPC channel.
 _ATTACH_SECONDS_PENDING = 0.0
 
 
@@ -759,152 +710,29 @@ def _worker_operator(payload: OperatorPayload):
     return operator, views.get("reference")
 
 
-# ----------------------------------------------------------------------
-# Worker task functions (must be module-level for pickling)
-# ----------------------------------------------------------------------
-def _curves_task(args) -> np.ndarray:
-    payload, sources, lengths, block_size, backend, memory_budget = args
-    operator, reference = _worker_operator(payload)
-    return operator.variation_curves(
-        sources,
-        lengths,
-        reference=reference,
-        policy=ExecutionPolicy(
-            block_size=block_size, backend=backend, memory_budget=memory_budget
-        ),
-    )
+def _worker_state(payload: OperatorPayload, params: Dict[str, Any]) -> Dict[str, Any]:
+    """Rebuild a sweep kernel's state inside a pool worker.
 
-
-def _hitting_task(args) -> Tuple[np.ndarray, np.ndarray]:
-    payload, sources, epsilon, max_steps, block_size, backend, memory_budget = args
-    operator, reference = _worker_operator(payload)
-    result = operator.hitting_times(
-        sources,
-        epsilon,
-        max_steps=max_steps,
-        reference=reference,
-        policy=ExecutionPolicy(
-            block_size=block_size, backend=backend, memory_budget=memory_budget
-        ),
-    )
-    return result.times, result.final_distances
-
-
-def _evolve_task(args) -> np.ndarray:
-    payload, block, steps, backend, memory_budget = args
-    operator, _reference = _worker_operator(payload)
-    return operator.evolve_block(
-        block,
-        steps,
-        policy=ExecutionPolicy(backend=backend, memory_budget=memory_budget),
-    )
-
-
-def _originator_task(args) -> np.ndarray:
-    payload, sources, lengths, block_size = args
-    from .trust import _originator_curves_chunks
-
-    operator, reference = _worker_operator(payload)
-    return _originator_curves_chunks(
-        operator._matrix, reference, sources, payload.beta, lengths, block_size
-    )
-
-
-def _route_tails_task(args) -> np.ndarray:
-    """Tails for one contiguous instance shard (worker side).
-
-    Attaches the published route state and runs the *same*
-    ``advance_route_shard`` kernel the serial fallback uses — tables are
-    rebuilt from the root entropy, start slots come pre-drawn from the
-    parent (so the rng stream is consumed exactly once, in the parent,
-    in instance order), and the result is the shard's
-    ``(nodes, hi - lo, lengths)`` tail cube.
+    ``params`` is the part of the parent's state that travelled with
+    the task; the rest comes off the attached segment: read-only views
+    for an ``"arrays"`` publication, else the rebuilt operator (as
+    ``"operator"``, its matrix as ``"matrix"``) and the reference vector.
     """
-    payload, instance_lo, instance_hi, lengths, block_size = args
-    from ..sybil.routes import advance_route_shard
-
-    _shm, views, _cache = _attach(payload)
-    return advance_route_shard(
-        views["src"],
-        views["rev"],
-        payload.num_nodes,
-        payload.entropy,
-        instance_lo,
-        instance_hi,
-        views["starts"][instance_lo:instance_hi],
-        lengths,
-        block_size,
-    )
-
-
-def _route_hits_task(args) -> np.ndarray:
-    """Node-intersection scan for one contiguous slot shard (worker side)."""
-    payload, slot_lo, slot_hi, length = args
-    from ..sybil.sybilguard import route_hit_scan
-
-    _shm, views, _cache = _attach(payload)
-    return route_hit_scan(
-        views["table"],
-        views["indices"],
-        views["src"],
-        views["mask"],
-        slot_lo,
-        slot_hi,
-        length,
-    )
+    if payload.kind == "arrays":
+        _shm, views, _cache = _attach(payload)
+        return {**params, **views}
+    operator, reference = _worker_operator(payload)
+    return {
+        **params,
+        "operator": operator,
+        "matrix": operator._matrix,
+        "reference": reference,
+    }
 
 
 # ----------------------------------------------------------------------
-# Parent-side fan-out
+# The sweep spec and its driver
 # ----------------------------------------------------------------------
-#: Registry of the picklable worker task functions, keyed by sweep kind.
-#: :func:`_run_tasks` uses the key both to pick the function and to tag
-#: per-task telemetry, so the instrumented path and the bare path call
-#: the *same* module-level functions.
-_TASK_FNS = {
-    "curves": _curves_task,
-    "hitting": _hitting_task,
-    "evolve": _evolve_task,
-    "originator": _originator_task,
-    "route_tails": _route_tails_task,
-    "route_hits": _route_hits_task,
-}
-
-
-def _timed_task(args):
-    """Telemetry wrapper executed *inside* a pool worker.
-
-    Only dispatched when the parent has telemetry enabled (the fork
-    inherits ``OBS.enabled``, but worker-side registries die with the
-    child — so we ship the few scalars the parent wants back alongside
-    the result instead).  Returns
-    ``(elapsed_seconds, attach_seconds, worker_pid, result)``.
-    """
-    key, inner = args
-    start = time.perf_counter()
-    result = _TASK_FNS[key](inner)
-    elapsed = time.perf_counter() - start
-    return elapsed, _ATTACH_SECONDS_PENDING, os.getpid(), result
-
-
-def _policy_knobs(
-    policy: Optional[ExecutionPolicy],
-    workers: Optional[int],
-    block_size: Optional[int],
-) -> Tuple[ExecutionPolicy, Optional[int], Optional[int]]:
-    """Resolve the ``(policy, workers, block_size)`` triple.
-
-    The ``maybe_parallel_*`` entry points accept either an explicit
-    :class:`~repro.core.runtime.ExecutionPolicy` (which wins, and whose
-    ``workers``/``block_size`` fields are unpacked) or the bare legacy
-    knobs (kept un-deprecated at this internal layer — the public APIs
-    own the deprecation story via :func:`repro.core.runtime.as_policy`).
-    """
-    if policy is None:
-        return DEFAULT_POLICY, workers, block_size
-    return policy, policy.workers, policy.block_size
-
-
 def _note_parallel_path(workers: int, shards: int) -> None:
     """Tag the enclosing operator span (if any) as having gone parallel."""
     if not OBS.enabled:
@@ -912,19 +740,6 @@ def _note_parallel_path(workers: int, shards: int) -> None:
     span = OBS.current_span()
     if span is not None:
         span.set(path="parallel", workers=int(workers), shards=int(shards))
-
-
-def _shard(sources: np.ndarray, workers: int) -> List[np.ndarray]:
-    count = min(sources.size, workers * _OVERSHARD)
-    shards = [s for s in np.array_split(sources, count)]
-    if OBS.enabled:
-        for s in shards:
-            OBS.observe("parallel.shard_rows", s.size)
-    return shards
-
-
-def _effective_workers(workers: Optional[int], num_rows: int) -> int:
-    return min(resolve_workers(workers), max(num_rows, 0))
 
 
 def _operator_fingerprint(
@@ -969,516 +784,114 @@ def _operator_fingerprint(
     )
 
 
-def maybe_parallel_variation_curves(
-    operator,
-    sources: np.ndarray,
-    walk_lengths: np.ndarray,
-    *,
-    reference: np.ndarray,
-    workers: Optional[int] = None,
-    block_size: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
-) -> Optional[np.ndarray]:
-    """Fan a validated ``variation_curves`` call out to a pool.
+#: State keys an operator publication rebuilds inside every worker; they
+#: never travel with a task.
+_OPERATOR_KEYS = ("operator", "matrix", "reference")
 
-    Returns the assembled ``(s, w)`` array, or ``None`` when the serial
-    path should run instead (see module docstring for the fallback
-    rules).  Inputs are assumed validated by the calling operator.
-    With ``policy.checkpoint_dir`` set the sweep is checkpointed (and
-    resumed) per shard, even when the pool itself is unavailable.
+
+class Sweep(NamedTuple):
+    """One source-sharded sweep, declared by the module that owns it.
+
+    ``rows`` independent rows are computed by ``kernel(state, lo, hi)``,
+    a module-level function (pool tasks pickle it by name) returning
+    rows ``[lo, hi)``.  The same kernel runs in-process on ``state``
+    (checkpointed serial sweeps, thread shards, degraded shards) and in
+    pool workers on the state rebuilt from shared memory, so every path
+    executes the same arithmetic.
     """
-    policy, workers, block_size = _policy_knobs(policy, workers, block_size)
-    count = _effective_workers(workers, sources.size)
-    threads = policy.execution == "threads"
+
+    #: Checkpoint and telemetry tag (``"curves"``, ``"route_tails"``, …).
+    kind: str
+    rows: int
+    kernel: Callable[[Dict[str, Any], int, int], Any]
+    #: Everything the kernel reads.
+    state: Dict[str, Any]
+    #: What pool workers rebuild as ``state["operator"]``, ``["matrix"]``
+    #: and ``["reference"]``: a Markov operator (see
+    #: :func:`describe_operator`; one it cannot describe keeps the sweep
+    #: serial) or an already described ``(kind, matrix, extras)`` triple.
+    #: Published with ``state["reference"]``, through a pinned segment
+    #: when one matches.
+    operator: Any = None
+    #: Without an operator: the state arrays published as one segment.
+    arrays: Tuple[str, ...] = ()
+    #: State entries indexed by row along their first axis.  The kernel
+    #: sees them cut to ``[lo:hi]``; pool tasks carry only that slice.
+    sliced: Tuple[str, ...] = ()
+    #: Sweep parameters hashed into the checkpoint key (after the
+    #: operator, if any); ``None`` for sweeps that never checkpoint.
+    fingerprint: Optional[tuple] = None
+    #: Axis the shard results (each element, for tuple results) join on.
+    axis: int = 0
+
+
+def _shard_state(state: Dict[str, Any], sliced, lo: int, hi: int) -> Dict[str, Any]:
+    """``state`` with every ``sliced`` entry cut to rows ``[lo, hi)``."""
+    return {**state, **{name: state[name][lo:hi] for name in sliced}}
+
+
+def run_sweep(spec: Sweep, policy: Optional[ExecutionPolicy] = None):
+    """Run ``spec`` sharded under ``policy``; ``None`` means "stay serial".
+
+    Returns the shard results joined along ``spec.axis`` (element-wise
+    for tuple results), or ``None`` under the module's fallback rules —
+    the caller then runs its own serial path.  A sweep without a
+    fingerprint never checkpoints, so it falls back whenever it cannot
+    fan out.  Threads run the kernel on ``spec.state`` in-process;
+    processes publish once, then rebuild the state in every worker.
+    """
+    policy = DEFAULT_POLICY if policy is None else policy
+    count = min(resolve_workers(policy.workers), spec.rows)
     use_pool = count > 1 and _fanout_available(policy)
-    if (not use_pool and policy.checkpoint_dir is None) or sources.size == 0:
+    checkpoint = policy.checkpoint_dir is not None and spec.fingerprint is not None
+    if spec.rows == 0 or not (use_pool or checkpoint):
         return None
-    described = describe_operator(operator)
-    if described is None:
-        return None
-    kind, matrix, extras = described
+    described = spec.operator
+    if described is not None and not isinstance(described, tuple):
+        described = describe_operator(described)
+        if described is None:
+            return None
+    reference = spec.state.get("reference")
     fingerprint = None
-    if policy.checkpoint_dir is not None:
+    if checkpoint and described is not None:
         fingerprint = _operator_fingerprint(
-            "curves",
-            kind,
-            matrix,
-            extras,
-            reference,
-            sources,
-            walk_lengths,
-            backend=policy.backend,
+            spec.kind, *described, reference, *spec.fingerprint, backend=policy.backend
         )
-
-    def serial_run(lo: int, hi: int) -> np.ndarray:
-        return operator.variation_curves(
-            sources[lo:hi],
-            walk_lengths,
-            reference=reference,
-            policy=ExecutionPolicy(
-                block_size=block_size,
-                backend=policy.backend,
-                memory_budget=policy.memory_budget,
-            ),
-        )
-
-    if use_pool and not threads:
-        with _LeasedPublication(kind, matrix, extras, reference) as handle:
-            payload = handle.payload
-
-            def make_task(lo: int, hi: int):
-                return (
-                    payload,
-                    sources[lo:hi],
-                    walk_lengths,
-                    block_size,
-                    policy.backend,
-                    policy.memory_budget,
-                )
-
-            _note_parallel_path(count, min(sources.size, count * _OVERSHARD))
-            parts = run_sharded(
-                kind="curves",
-                total=int(sources.size),
-                policy=policy,
-                workers=count,
-                make_task=make_task,
-                serial_run=serial_run,
-                fingerprint=fingerprint,
-                use_pool=True,
-                overshard=_OVERSHARD,
-            )
-    else:
-        # Thread mode needs no publication — shards call the in-process
-        # serial kernel directly; run_sharded routes to the thread pool.
-        if use_pool:
-            _note_parallel_path(count, min(sources.size, count * _OVERSHARD))
-        parts = run_sharded(
-            kind="curves",
-            total=int(sources.size),
-            policy=policy,
-            workers=count if use_pool else 1,
-            make_task=None,
-            serial_run=serial_run,
-            fingerprint=fingerprint,
-            use_pool=use_pool,
-            overshard=_OVERSHARD,
-        )
-    return np.concatenate(parts, axis=0)
-
-
-def maybe_parallel_hitting_times(
-    operator,
-    sources: np.ndarray,
-    epsilon: float,
-    *,
-    max_steps: int,
-    reference: np.ndarray,
-    workers: Optional[int] = None,
-    block_size: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
-) -> Optional[HittingTimes]:
-    """Parallel analogue of :func:`maybe_parallel_variation_curves` for
-    per-source hitting times (early-exit masking runs inside each
-    worker, exactly as in the serial chunks)."""
-    policy, workers, block_size = _policy_knobs(policy, workers, block_size)
-    count = _effective_workers(workers, sources.size)
-    threads = policy.execution == "threads"
-    use_pool = count > 1 and _fanout_available(policy)
-    if (not use_pool and policy.checkpoint_dir is None) or sources.size == 0:
-        return None
-    described = describe_operator(operator)
-    if described is None:
-        return None
-    kind, matrix, extras = described
-    fingerprint = None
-    if policy.checkpoint_dir is not None:
-        fingerprint = _operator_fingerprint(
-            "hitting",
-            kind,
-            matrix,
-            extras,
-            reference,
-            sources,
-            float(epsilon),
-            int(max_steps),
-            backend=policy.backend,
-        )
+    elif checkpoint:
+        fingerprint = sweep_fingerprint(spec.kind, *spec.fingerprint)
 
     def serial_run(lo: int, hi: int):
-        result = operator.hitting_times(
-            sources[lo:hi],
-            epsilon,
-            max_steps=max_steps,
-            reference=reference,
-            policy=ExecutionPolicy(
-                block_size=block_size,
-                backend=policy.backend,
-                memory_budget=policy.memory_budget,
-            ),
-        )
-        return result.times, result.final_distances
+        return spec.kernel(_shard_state(spec.state, spec.sliced, lo, hi), lo, hi)
 
-    if use_pool and not threads:
-        with _LeasedPublication(kind, matrix, extras, reference) as handle:
-            payload = handle.payload
-
-            def make_task(lo: int, hi: int):
-                return (
-                    payload,
-                    sources[lo:hi],
-                    epsilon,
-                    max_steps,
-                    block_size,
-                    policy.backend,
-                    policy.memory_budget,
-                )
-
-            _note_parallel_path(count, min(sources.size, count * _OVERSHARD))
-            parts = run_sharded(
-                kind="hitting",
-                total=int(sources.size),
-                policy=policy,
-                workers=count,
-                make_task=make_task,
-                serial_run=serial_run,
-                fingerprint=fingerprint,
-                use_pool=True,
-                overshard=_OVERSHARD,
-            )
+    shared = set(spec.arrays) | set(_OPERATOR_KEYS if described is not None else ())
+    params = {k: v for k, v in spec.state.items() if k not in shared}
+    if not use_pool or policy.execution == "threads":
+        publication = contextlib.nullcontext()
+    elif described is not None:
+        publication = _LeasedPublication(*described, reference)
     else:
-        if use_pool:
-            _note_parallel_path(count, min(sources.size, count * _OVERSHARD))
-        parts = run_sharded(
-            kind="hitting",
-            total=int(sources.size),
-            policy=policy,
-            workers=count if use_pool else 1,
-            make_task=None,
-            serial_run=serial_run,
-            fingerprint=fingerprint,
-            use_pool=use_pool,
-            overshard=_OVERSHARD,
+        publication = _publish(
+            "arrays", [(name, spec.state[name]) for name in spec.arrays]
         )
-    times = np.concatenate([p[0] for p in parts])
-    final = np.concatenate([p[1] for p in parts])
-    return HittingTimes(times=times, final_distances=final)
-
-
-def maybe_parallel_evolve_block(
-    operator,
-    block: np.ndarray,
-    steps: int,
-    *,
-    workers: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
-) -> Optional[np.ndarray]:
-    """Shard a dense ``(s, n)`` block row-wise across the pool.
-
-    Rows are independent chains, so splitting/reassembling rows is
-    bit-for-bit neutral; the block rows themselves travel by pickle (a
-    one-off cost the ``steps`` SpMMs amortise) while the operator rides
-    shared memory.
-    """
-    policy, workers, _block_size = _policy_knobs(policy, workers, None)
-    count = _effective_workers(workers, block.shape[0])
-    threads = policy.execution == "threads"
-    if count <= 1 or steps == 0 or not _fanout_available(policy):
-        # No checkpoint-only path here: evolve blocks are usually one
-        # iteration of a larger loop (e.g. SybilRank), so their content
-        # changes every call and a content-addressed checkpoint would
-        # never be revisited.
-        return None
-    described = describe_operator(operator)
-    if described is None:
-        return None
-    kind, matrix, extras = described
-
-    def serial_run(lo: int, hi: int) -> np.ndarray:
-        return operator.evolve_block(
-            block[lo:hi],
-            steps,
-            policy=ExecutionPolicy(
-                backend=policy.backend, memory_budget=policy.memory_budget
-            ),
-        )
-
-    if threads:
-        _note_parallel_path(count, min(int(block.shape[0]), count * _OVERSHARD))
-        parts = run_sharded(
-            kind="evolve",
-            total=int(block.shape[0]),
-            policy=policy,
-            workers=count,
-            make_task=None,
-            serial_run=serial_run,
-            fingerprint=None,
-            use_pool=True,
-            overshard=_OVERSHARD,
-        )
-        return np.concatenate(parts, axis=0)
-
-    with publish_operator(kind, matrix, None, **extras) as handle:
-        payload = handle.payload
+    with publication as handle:
 
         def make_task(lo: int, hi: int):
-            return (payload, block[lo:hi], steps, policy.backend, policy.memory_budget)
+            task_params = _shard_state(params, spec.sliced, lo, hi)
+            return spec.kernel, handle.payload, task_params, lo, hi
 
-        _note_parallel_path(count, min(int(block.shape[0]), count * _OVERSHARD))
-        parts = run_sharded(
-            kind="evolve",
-            total=int(block.shape[0]),
-            policy=policy,
-            workers=count,
-            make_task=make_task,
-            serial_run=serial_run,
-            fingerprint=None,
-            use_pool=True,
-            overshard=_OVERSHARD,
-        )
-    return np.concatenate(parts, axis=0)
-
-
-def maybe_parallel_originator_curves(
-    matrix,
-    reference: np.ndarray,
-    sources: np.ndarray,
-    beta: float,
-    walk_lengths: np.ndarray,
-    *,
-    workers: Optional[int] = None,
-    block_size: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
-) -> Optional[np.ndarray]:
-    """Fan the originator-biased trust sweep out to the pool.
-
-    The biased chain is per-source (each row jumps back to *its own*
-    originator), so the payload carries ``beta`` and each worker runs
-    the shared chunk kernel from :mod:`repro.core.trust` on its shard.
-    """
-    policy, workers, block_size = _policy_knobs(policy, workers, block_size)
-    count = _effective_workers(workers, sources.size)
-    threads = policy.execution == "threads"
-    use_pool = count > 1 and _fanout_available(policy)
-    if (not use_pool and policy.checkpoint_dir is None) or sources.size == 0:
-        return None
-    chunk_rows = resolve_block_size(matrix.shape[0], block_size)
-    fingerprint = None
-    if policy.checkpoint_dir is not None:
-        fingerprint = _operator_fingerprint(
-            "originator",
-            "originator",
-            matrix,
-            {"beta": float(beta)},
-            reference,
-            sources,
-            walk_lengths,
-        )
-
-    def serial_run(lo: int, hi: int) -> np.ndarray:
-        from .trust import _originator_curves_chunks
-
-        return _originator_curves_chunks(
-            matrix, reference, sources[lo:hi], beta, walk_lengths, chunk_rows
-        )
-
-    if use_pool and not threads:
-        with publish_operator("originator", matrix, reference, beta=beta) as handle:
-            payload = handle.payload
-
-            def make_task(lo: int, hi: int):
-                return (payload, sources[lo:hi], walk_lengths, chunk_rows)
-
-            _note_parallel_path(count, min(sources.size, count * _OVERSHARD))
-            parts = run_sharded(
-                kind="originator",
-                total=int(sources.size),
-                policy=policy,
-                workers=count,
-                make_task=make_task,
-                serial_run=serial_run,
-                fingerprint=fingerprint,
-                use_pool=True,
-                overshard=_OVERSHARD,
-            )
-    else:
         if use_pool:
-            _note_parallel_path(count, min(sources.size, count * _OVERSHARD))
+            _note_parallel_path(count, min(spec.rows, count * _OVERSHARD))
         parts = run_sharded(
-            kind="originator",
-            total=int(sources.size),
+            kind=spec.kind,
+            total=spec.rows,
             policy=policy,
             workers=count if use_pool else 1,
-            make_task=None,
+            make_task=make_task,
             serial_run=serial_run,
             fingerprint=fingerprint,
             use_pool=use_pool,
             overshard=_OVERSHARD,
         )
-    return np.concatenate(parts, axis=0)
-
-
-def maybe_parallel_route_tails(
-    routes,
-    starts: np.ndarray,
-    lengths: np.ndarray,
-    *,
-    workers: Optional[int] = None,
-    block_size: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
-) -> Optional[np.ndarray]:
-    """Fan a route tail sweep out across instance shards.
-
-    The parent pre-draws every instance's start slots (``starts`` is the
-    full ``(r, nodes)`` table, preserving the serial rng stream) and
-    publishes them alongside the graph-derived ``src``/``rev`` arrays;
-    each worker rebuilds its instances' tables from the root entropy and
-    steps them with the shared blocked kernel.  Shards are contiguous
-    instance ranges reassembled positionally along the instance axis, so
-    the output is bit-for-bit the serial blocked result.  Returns
-    ``None`` for the usual serial-fallback reasons.  The checkpoint key
-    hashes the arc arrays, root entropy, pre-drawn starts and lengths,
-    so SybilLimit admission sweeps resume without replaying a draw.
-    """
-    policy, workers, block_size = _policy_knobs(policy, workers, block_size)
-    num_instances = int(starts.shape[0])
-    count = _effective_workers(workers, num_instances)
-    threads = policy.execution == "threads"
-    use_pool = count > 1 and _fanout_available(policy)
-    if (not use_pool and policy.checkpoint_dir is None) or num_instances == 0:
-        return None
-    from ..sybil.routes import advance_route_shard, arc_sources, reverse_slots
-
-    graph = routes.graph
-    src = arc_sources(graph)
-    rev = reverse_slots(graph)
-    entropy = routes._entropy
-    fingerprint = None
-    if policy.checkpoint_dir is not None:
-        fingerprint = sweep_fingerprint(
-            "route_tails", src, rev, int(graph.num_nodes), entropy, starts, lengths
-        )
-
-    def serial_run(lo: int, hi: int) -> np.ndarray:
-        return advance_route_shard(
-            src,
-            rev,
-            graph.num_nodes,
-            entropy,
-            lo,
-            hi,
-            starts[lo:hi],
-            lengths,
-            block_size,
-        )
-
-    if use_pool and not threads:
-        named = [("src", src), ("rev", rev), ("starts", starts)]
-        with publish_route_state(
-            "route_tails", named, num_nodes=graph.num_nodes, entropy=entropy
-        ) as handle:
-            payload = handle.payload
-
-            def make_task(lo: int, hi: int):
-                return (payload, lo, hi, lengths, block_size)
-
-            _note_parallel_path(count, min(num_instances, count * _OVERSHARD))
-            parts = run_sharded(
-                kind="route_tails",
-                total=num_instances,
-                policy=policy,
-                workers=count,
-                make_task=make_task,
-                serial_run=serial_run,
-                fingerprint=fingerprint,
-                use_pool=True,
-                overshard=_OVERSHARD,
-            )
-    else:
-        if use_pool:
-            _note_parallel_path(count, min(num_instances, count * _OVERSHARD))
-        parts = run_sharded(
-            kind="route_tails",
-            total=num_instances,
-            policy=policy,
-            workers=count if use_pool else 1,
-            make_task=None,
-            serial_run=serial_run,
-            fingerprint=fingerprint,
-            use_pool=use_pool,
-            overshard=_OVERSHARD,
-        )
-    return np.concatenate(parts, axis=1)
-
-
-def maybe_parallel_route_hits(
-    table: np.ndarray,
-    indices: np.ndarray,
-    src: np.ndarray,
-    mask: np.ndarray,
-    length: int,
-    *,
-    workers: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
-) -> Optional[np.ndarray]:
-    """Fan SybilGuard's per-slot node-intersection scan across the pool.
-
-    Shards the ``2m`` directed slots contiguously; every worker advances
-    its shard through the *same* published ``next_slot`` table and ORs
-    node hits stepwise (``repro.sybil.sybilguard.route_hit_scan``).
-    Reassembly is positional, the scan is branch-free boolean algebra —
-    parallel output is bit-for-bit the serial scan.  (No checkpoint
-    path: the scan is an inner per-length loop, cheap relative to the
-    tail sweeps that feed it.)
-    """
-    policy, workers, _block_size = _policy_knobs(policy, workers, None)
-    num_slots = int(table.shape[0])
-    count = _effective_workers(workers, num_slots)
-    if count <= 1 or not _fanout_available(policy):
-        return None
-    from ..sybil.sybilguard import route_hit_scan
-
-    def serial_run(lo: int, hi: int) -> np.ndarray:
-        return route_hit_scan(table, indices, src, mask, lo, hi, int(length))
-
-    if policy.execution == "threads":
-        _note_parallel_path(count, min(num_slots, count * _OVERSHARD))
-        return np.concatenate(
-            run_sharded(
-                kind="route_hits",
-                total=num_slots,
-                policy=policy,
-                workers=count,
-                make_task=None,
-                serial_run=serial_run,
-                fingerprint=None,
-                use_pool=True,
-                overshard=_OVERSHARD,
-            )
-        )
-
-    named = [
-        ("table", table),
-        ("indices", indices),
-        ("src", src),
-        ("mask", mask),
-    ]
-    with publish_route_state("route_hits", named, num_nodes=mask.shape[0]) as handle:
-        payload = handle.payload
-
-        def make_task(lo: int, hi: int):
-            return (payload, lo, hi, int(length))
-
-        _note_parallel_path(count, min(num_slots, count * _OVERSHARD))
-        parts = run_sharded(
-            kind="route_hits",
-            total=num_slots,
-            policy=policy,
-            workers=count,
-            make_task=make_task,
-            serial_run=serial_run,
-            fingerprint=None,
-            use_pool=True,
-            overshard=_OVERSHARD,
-        )
-    return np.concatenate(parts)
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(column, axis=spec.axis) for column in zip(*parts))
+    return np.concatenate(parts, axis=spec.axis)

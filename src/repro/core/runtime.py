@@ -16,8 +16,8 @@ across every call site.  This module fixes both:
   ``block_size=`` kwargs keep working as deprecated aliases
   (:func:`as_policy` maps them onto a policy and emits a
   ``DeprecationWarning``).
-* :func:`run_sharded` is the fault-tolerant executor the
-  ``maybe_parallel_*`` entry points (:mod:`repro.core.parallel`) drive:
+* :func:`run_sharded` is the fault-tolerant executor the sweep driver
+  (:func:`repro.core.parallel.run_sweep`) hands every sharded sweep to:
   failed shards (dead worker, timeout, unpicklable exception) are
   retried up to ``max_retries`` times with exponential backoff on a
   rebuilt pool, and any shard still failing afterwards is **degraded to
@@ -610,19 +610,24 @@ def _split_ranges(
 def _worker_shard(args):
     """Module-level pool task: fault injection, then the sweep kernel.
 
-    ``args`` is ``(kind, shard_index, inner, timed)`` — ``inner`` is the
-    kind's regular task tuple (see ``repro.core.parallel._TASK_FNS``)
-    and ``timed`` mirrors the parent's telemetry flag so the result
-    travels back wrapped as ``(elapsed, attach_seconds, pid, result)``
-    exactly like the PR-3 instrumented path.
+    ``args`` is ``(shard_index, task, timed)``.  ``task`` is
+    ``(kernel, payload, params, lo, hi)`` (see
+    :func:`repro.core.parallel.run_sweep`): the worker rebuilds the
+    kernel's state on the published segment and returns
+    ``kernel(state, lo, hi)``.  ``timed`` mirrors the parent's telemetry
+    flag; with it the result travels back as
+    ``(elapsed, attach_seconds, pid, result)``.
     """
-    kind, shard_index, inner, timed = args
-    from .parallel import _TASK_FNS, _timed_task
+    shard_index, (kernel, payload, params, lo, hi), timed = args
+    from . import parallel
 
     maybe_inject_fault(shard_index)
+    start = time.perf_counter()
+    result = kernel(parallel._worker_state(payload, params), lo, hi)
     if timed:
-        return _timed_task((kind, inner))
-    return _TASK_FNS[kind](inner)
+        elapsed = time.perf_counter() - start
+        return elapsed, parallel._ATTACH_SECONDS_PENDING, os.getpid(), result
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -677,11 +682,12 @@ def run_sharded(
 
     Returns the per-shard results ordered by row offset, covering
     ``[0, total)`` exactly; the caller concatenates along its sweep
-    axis.  ``make_task(lo, hi)`` builds the picklable pool-task tuple
-    for one shard; ``serial_run(lo, hi)`` computes the same rows
-    in-process (used for non-pool execution and for degradation) —
-    both must produce bit-identical rows, which every kernel in this
-    package does by construction.
+    axis.  ``make_task(lo, hi)`` builds the picklable pool task for one
+    shard, ``(kernel, payload, params, lo, hi)`` as :func:`_worker_shard`
+    unpacks it; ``serial_run(lo, hi)`` computes the same rows in-process
+    (used for non-pool execution and for degradation) — both must
+    produce bit-identical rows, which every kernel in this package does
+    by construction.
 
     Failure handling (pool path): a shard whose worker dies
     (``BrokenProcessPool``), exceeds ``policy.shard_timeout`` or raises
@@ -829,9 +835,7 @@ def _execute_pool(
                 futures = [
                     (
                         item,
-                        executor.submit(
-                            _worker_shard, (kind, item[0], item[3], timed)
-                        ),
+                        executor.submit(_worker_shard, (item[0], item[3], timed)),
                     )
                     for item in items
                 ]

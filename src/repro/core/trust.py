@@ -205,16 +205,43 @@ def originator_biased_curves(
     n = graph.num_nodes
     plain = csr_matrix((data, graph.indices.copy(), graph.indptr.copy()), shape=(n, n))
 
+    chunk_rows = resolve_block_size(n, policy.block_size)
     if policy.workers is not None or policy.checkpoint_dir is not None:
-        from .parallel import maybe_parallel_originator_curves
+        from .parallel import Sweep, run_sweep
 
-        out = maybe_parallel_originator_curves(
-            plain, pi, src, beta, lengths, policy=policy
+        state = {
+            "matrix": plain,
+            "reference": pi,
+            "sources": src,
+            "beta": beta,
+            "lengths": lengths,
+            "chunk_rows": chunk_rows,
+        }
+        spec = Sweep(
+            "originator",
+            src.size,
+            _originator_kernel,
+            state,
+            operator=("originator", plain, {"beta": float(beta)}),
+            sliced=("sources",),
+            fingerprint=(src, lengths),
         )
+        out = run_sweep(spec, policy)
         if out is not None:
             return out
-    chunk_rows = resolve_block_size(n, policy.block_size)
     return _originator_curves_chunks(plain, pi, src, beta, lengths, chunk_rows)
+
+
+def _originator_kernel(state, lo: int, hi: int) -> np.ndarray:
+    """One shard of :func:`originator_biased_curves` (see :class:`repro.core.parallel.Sweep`)."""
+    return _originator_curves_chunks(
+        state["matrix"],
+        state["reference"],
+        state["sources"],
+        state["beta"],
+        state["lengths"],
+        state["chunk_rows"],
+    )
 
 
 def originator_biased_curve(

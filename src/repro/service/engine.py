@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -105,6 +105,30 @@ def _as_source_tuple(sources: Union[int, Sequence[int]]) -> Tuple[int, ...]:
     if not out:
         raise ConfigurationError("sources must be non-empty")
     return out
+
+
+def _check_sources(query, num_states: int) -> None:
+    """Refuse a point-mass query whose sources lie outside the leased graph.
+
+    Runs before the cache lookup and before the query can join a
+    coalescing bucket, so an out-of-range source is the caller's error
+    (HTTP 400) and never fails the valid requests it would have shared a
+    sweep with.
+    """
+    if query.query_type == "mixing_time":
+        sources: Tuple[int, ...] = (query.source,)
+    elif query.query_type == "variation_curve":
+        sources = query.sources
+    else:
+        return
+    if query.mode == "uniform_start":
+        return  # sources are the -1 sentinel: the walk starts everywhere
+    for source in sources:
+        if not 0 <= source < num_states:
+            raise ConfigurationError(
+                f"source {source} out of range for dataset {query.dataset!r} "
+                f"with {num_states} nodes"
+            )
 
 
 def _check_query_mode(mode: str, laziness: float) -> None:
@@ -643,6 +667,7 @@ class QueryEngine:
                 return self._submit_trend(query, start)
             laziness = getattr(query, "laziness", 0.0)
             with self.registry.acquire(query.dataset, laziness=laziness) as lease:
+                _check_sources(query, lease.operator.num_states)
                 key = query.fingerprint(lease.graph_key)
                 tag = self._numeric_tag()
                 if tag is not None:

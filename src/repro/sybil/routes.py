@@ -317,6 +317,21 @@ def advance_route_shard(
     return out
 
 
+def _route_tails_kernel(state, lo: int, hi: int) -> np.ndarray:
+    """Instances ``[lo, hi)`` of a tail sweep (see :class:`repro.core.parallel.Sweep`)."""
+    return advance_route_shard(
+        state["src"],
+        state["rev"],
+        state["num_nodes"],
+        state["entropy"],
+        lo,
+        hi,
+        state["starts"],
+        state["lengths"],
+        state["block_size"],
+    )
+
+
 class RouteInstances:
     """``r`` independent random-route instances over one graph.
 
@@ -527,10 +542,37 @@ class RouteInstances:
         lengths: np.ndarray,
         policy: ExecutionPolicy,
     ) -> Optional[np.ndarray]:
-        """Fan instance blocks out across the pool; ``None`` → serial."""
-        from ..core.parallel import maybe_parallel_route_tails
+        """Fan instance shards out across the pool; ``None`` → serial.
 
-        return maybe_parallel_route_tails(self, starts, lengths, policy=policy)
+        The parent pre-draws every instance's start slots (``starts``,
+        preserving the serial rng stream); workers rebuild their
+        instances' tables from the root entropy.  The checkpoint key
+        hashes the arc arrays, root entropy, starts and lengths, so
+        SybilLimit admission sweeps resume without replaying a draw.
+        """
+        from ..core.parallel import Sweep, run_sweep
+
+        num_nodes = int(self._graph.num_nodes)
+        state = {
+            "src": self._src,
+            "rev": self._rev,
+            "starts": starts,
+            "num_nodes": num_nodes,
+            "entropy": self._entropy,
+            "lengths": lengths,
+            "block_size": policy.block_size,
+        }
+        spec = Sweep(
+            "route_tails",
+            int(starts.shape[0]),
+            _route_tails_kernel,
+            state,
+            arrays=("src", "rev"),
+            sliced=("starts",),
+            fingerprint=(self._src, self._rev, num_nodes, self._entropy, starts, lengths),
+            axis=1,
+        )
+        return run_sweep(spec, policy)
 
     def trajectories(
         self,

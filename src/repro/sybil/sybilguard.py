@@ -179,8 +179,41 @@ class SybilGuard:
         mask: np.ndarray,
         policy: ExecutionPolicy,
     ) -> Optional[np.ndarray]:
-        from ..core.parallel import maybe_parallel_route_hits
+        """Shard the per-slot scan across the pool; ``None`` → serial.
 
-        return maybe_parallel_route_hits(
-            table, self._scenario.graph.indices, src, mask, self._w, policy=policy
+        Every worker advances its contiguous slot range through the same
+        published ``next_slot`` table; reassembly is positional and the
+        scan is branch-free boolean algebra, so the output is the serial
+        scan's bit for bit.  (No checkpoint: the scan is an inner
+        per-length loop, cheap next to the tail sweeps that feed it.)
+        """
+        from ..core.parallel import Sweep, run_sweep
+
+        state = {
+            "table": table,
+            "indices": self._scenario.graph.indices,
+            "src": src,
+            "mask": mask,
+            "length": self._w,
+        }
+        spec = Sweep(
+            "route_hits",
+            int(table.shape[0]),
+            _route_hits_kernel,
+            state,
+            arrays=("table", "indices", "src", "mask"),
         )
+        return run_sweep(spec, policy)
+
+
+def _route_hits_kernel(state, lo: int, hi: int) -> np.ndarray:
+    """Slots ``[lo, hi)`` of the intersection scan (see :class:`repro.core.parallel.Sweep`)."""
+    return route_hit_scan(
+        state["table"],
+        state["indices"],
+        state["src"],
+        state["mask"],
+        lo,
+        hi,
+        state["length"],
+    )

@@ -51,7 +51,8 @@ def _fast_backoff(monkeypatch):
 def _inject(monkeypatch, tmp_path, spec, *, once=True):
     monkeypatch.setenv("REPRO_FAULT_INJECT", spec)
     if once:
-        monkeypatch.setenv("REPRO_FAULT_INJECT_STATE", str(tmp_path / "claim"))
+        claim = tmp_path / f"claim-{spec.replace(':', '-')}"
+        monkeypatch.setenv("REPRO_FAULT_INJECT_STATE", str(claim))
     else:
         monkeypatch.delenv("REPRO_FAULT_INJECT_STATE", raising=False)
 
@@ -80,6 +81,14 @@ class TestCrashRecovery:
         _inject(monkeypatch, tmp_path, "crash:0", once=True)
         recovered = op.variation_curves(
             sources, WALKS, policy=ExecutionPolicy(workers=2)
+        )
+        assert np.array_equal(serial, recovered), f"{kind}: recovery drifted"
+        # A crash in a later shard of a sweep over every state.
+        every = np.arange(op.num_states)
+        serial = op.variation_curves(every, WALKS)
+        _inject(monkeypatch, tmp_path, "crash:1", once=True)
+        recovered = op.variation_curves(
+            every, WALKS, policy=ExecutionPolicy(workers=2)
         )
         assert np.array_equal(serial, recovered), f"{kind}: recovery drifted"
 

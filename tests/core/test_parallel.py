@@ -5,7 +5,8 @@ The shared-memory sweep runtime's whole contract is that ``workers`` is
 boundary and ragged source count, the parallel output must be
 ``np.array_equal`` (no tolerance) to the serial block path.  This suite
 pins that contract, plus the fallback rules that route back to the
-serial path and the publish/attach plumbing itself.
+serial path, the sweep driver for every sweep kind and the publish/attach
+plumbing itself.
 
 The equivalence tests are skipped automatically on platforms without the
 fork start method (the runtime itself falls back to serial there, so
@@ -19,8 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.parallel as parallel
 from repro.core import (
     DirectedTransitionOperator,
+    ExecutionPolicy,
     MarkovOperator,
     TransitionOperator,
     estimate_mixing_time,
@@ -31,14 +34,12 @@ from repro.core import (
 )
 from repro.core.parallel import (
     _ATTACHED,
-    _shard,
     _worker_operator,
     describe_operator,
-    maybe_parallel_evolve_block,
-    maybe_parallel_hitting_times,
-    maybe_parallel_variation_curves,
     publish_operator,
 )
+from repro.generators import two_community_bridge
+from repro.sybil import RouteInstances, SybilGuard, no_attack_scenario
 from tests.core.test_operators import ALL_KINDS, _er_graph, make_operator
 
 needs_pool = pytest.mark.skipif(
@@ -47,6 +48,23 @@ needs_pool = pytest.mark.skipif(
 )
 
 WORKER_COUNTS = [2, 4]
+
+#: The real driver, whatever a test patches into the module.
+_run_sweep = parallel.run_sweep
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Every ``(spec, result)`` the sweep driver sees during one test."""
+    seen = []
+
+    def recording(spec, policy=None):
+        out = _run_sweep(spec, policy)
+        seen.append((spec, out))
+        return out
+
+    monkeypatch.setattr(parallel, "run_sweep", recording)
+    return seen
 
 
 # ----------------------------------------------------------------------
@@ -69,74 +87,71 @@ class TestResolveWorkers:
 
 
 class TestFallbackRules:
-    """Every ``maybe_parallel_*`` entry point must return ``None`` (serial
-    path) instead of guessing when the pool cannot help."""
+    """The driver must return ``None`` (serial path) instead of guessing
+    when the pool cannot help."""
 
-    def _call_curves(self, op, sources, workers):
-        return maybe_parallel_variation_curves(
-            op,
-            np.asarray(sources, dtype=np.int64),
-            np.asarray([0, 1, 2], dtype=np.int64),
-            reference=op.stationary(),
-            workers=workers,
-        )
+    def _curves_result(self, op, sources, sweeps):
+        """What the driver returned for ``op``'s curves sweep at 4 workers."""
+        op.variation_curves(sources, [0, 1, 2], policy=ExecutionPolicy(workers=4))
+        ((spec, out),) = sweeps
+        assert spec.kind == "curves"
+        return out
 
     @pytest.mark.parametrize("workers", [None, 0, 1])
-    def test_serial_worker_counts_fall_back(self, workers):
+    def test_serial_worker_counts_fall_back(self, workers, sweeps):
         op = make_operator("plain")
-        assert self._call_curves(op, [0, 1, 2, 3], workers) is None
+        op.variation_curves(
+            [0, 1, 2, 3], [0, 1, 2],
+            policy=ExecutionPolicy(workers=2, execution="threads"),
+        )
+        ((spec, _out),) = sweeps
+        assert _run_sweep(spec, ExecutionPolicy(workers=workers)) is None
 
-    def test_single_source_falls_back(self):
+    def test_single_source_falls_back(self, sweeps):
         # One row cannot be sharded; the pool would be pure overhead.
-        op = make_operator("plain")
-        assert self._call_curves(op, [0], workers=4) is None
+        assert self._curves_result(make_operator("plain"), [0], sweeps) is None
 
-    def test_zero_sources_fall_back(self):
+    def test_zero_sources_fall_back(self, sweeps):
         # Empty shards never reach the pool — the runtime defers to the
-        # serial path, which owns the (rejecting) empty-input contract.
-        op = make_operator("plain")
-        assert self._call_curves(op, [], workers=4) is None
+        # serial path, which owns the empty-input contract.
+        assert self._curves_result(make_operator("plain"), [], sweeps) is None
 
     def test_zero_sources_behave_like_serial(self):
         # The public API contract for empty sources (an empty (0, w)
         # result) is identical with or without a workers request.
         op = make_operator("plain")
         serial = op.variation_curves([], [0, 1])
-        pooled = op.variation_curves([], [0, 1], workers=4)
+        pooled = op.variation_curves([], [0, 1], policy=ExecutionPolicy(workers=4))
         assert serial.shape == pooled.shape == (0, 2)
         assert np.array_equal(serial, pooled)
 
-    def test_env_kill_switch(self, monkeypatch):
+    def test_env_kill_switch(self, monkeypatch, sweeps):
         monkeypatch.setenv("REPRO_PARALLEL", "0")
         assert not parallel_backend_available()
         op = make_operator("plain")
-        assert self._call_curves(op, [0, 1, 2, 3], workers=4) is None
+        assert self._curves_result(op, [0, 1, 2, 3], sweeps) is None
 
-    def test_unknown_apply_block_falls_back(self):
+    def test_unknown_apply_block_falls_back(self, sweeps):
         class Exotic(TransitionOperator):
             def _apply_block(self, block):
                 return super()._apply_block(block)
 
         op = Exotic(_er_graph())
         assert describe_operator(op) is None
-        assert self._call_curves(op, [0, 1, 2, 3], workers=4) is None
+        assert self._curves_result(op, [0, 1, 2, 3], sweeps) is None
 
-    def test_evolve_zero_steps_falls_back(self):
+    def test_evolve_zero_steps_falls_back(self, sweeps):
         op = make_operator("plain")
         block = op.point_mass_block([0, 1, 2, 3])
-        assert maybe_parallel_evolve_block(op, block, 0, workers=4) is None
+        out = op.evolve_block(block, 0, policy=ExecutionPolicy(workers=4))
+        assert sweeps == []  # nothing to step: the driver is never asked
+        assert np.array_equal(out, block)
 
-    def test_hitting_single_source_falls_back(self):
+    def test_hitting_single_source_falls_back(self, sweeps):
         op = make_operator("plain")
-        out = maybe_parallel_hitting_times(
-            op,
-            np.asarray([0], dtype=np.int64),
-            0.5,
-            max_steps=10,
-            reference=op.stationary(),
-            workers=4,
-        )
-        assert out is None
+        op.hitting_times([0], 0.5, max_steps=10, policy=ExecutionPolicy(workers=4))
+        ((spec, out),) = sweeps
+        assert spec.kind == "hitting" and out is None
 
 
 class TestDescribeOperator:
@@ -183,11 +198,76 @@ class TestPublishAttach:
                 del entry  # drop views before closing the mapping
             handle.close()
 
-    def test_sharding_is_contiguous_and_complete(self):
-        sources = np.arange(23, dtype=np.int64)
-        shards = _shard(sources, 4)
-        assert np.array_equal(np.concatenate(shards), sources)
-        assert all(s.size >= 1 for s in shards)
+
+# ----------------------------------------------------------------------
+# The driver: every sweep kind, every execution path
+# ----------------------------------------------------------------------
+LENGTHS = np.asarray([1, 3, 7, 12], dtype=np.int64)
+
+
+def _bridge():
+    return two_community_bridge(40, 5, 2, seed=7)[0]
+
+
+def _route_tails(policy):
+    graph = _bridge()
+    nodes = np.arange(graph.num_nodes, dtype=np.int64)
+    return RouteInstances(graph, 9, seed=29).tails_at_lengths(
+        nodes, LENGTHS, seed=6, policy=policy
+    )
+
+
+def _route_hits(policy):
+    guard = SybilGuard(no_attack_scenario(_bridge()), 12, seed=41)
+    return guard.run(0, policy=policy).accepted
+
+
+#: Each sweep kind through its public entry point.
+SWEEPS = {
+    "curves": lambda policy: make_operator("teleport").variation_curves(
+        np.arange(10), [0, 1, 3, 7], policy=policy
+    ),
+    "hitting": lambda policy: tuple(
+        make_operator("lazy").hitting_times(
+            np.arange(8), 0.25, max_steps=40, policy=policy
+        )
+    ),
+    "evolve": lambda policy: make_operator("dangling").evolve_block(
+        make_operator("dangling").point_mass_block(range(4)), 9, policy=policy
+    ),
+    "originator": lambda policy: originator_biased_curves(
+        _er_graph(), range(9), 0.2, [0, 1, 3, 7], policy=policy
+    ),
+    "route_tails": _route_tails,
+    "route_hits": _route_hits,
+}
+
+
+class TestSweepDriver:
+    @pytest.mark.parametrize("mode", ["checkpoint", "threads", "processes"])
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_every_kind_matches_serial(self, kind, mode, sweeps, tmp_path):
+        if mode == "processes" and not parallel_backend_available():
+            pytest.skip("fork + shared-memory backend unavailable")
+        serial = SWEEPS[kind](None)
+        sweeps.clear()
+        policy = {
+            "checkpoint": ExecutionPolicy(checkpoint_dir=str(tmp_path)),
+            "threads": ExecutionPolicy(workers=2, execution="threads"),
+            "processes": ExecutionPolicy(workers=2),
+        }[mode]
+        got = SWEEPS[kind](policy)
+        if isinstance(serial, tuple):
+            assert all(np.array_equal(a, b) for a, b in zip(serial, got))
+        else:
+            assert np.array_equal(serial, got)
+        mine = [(spec, out) for spec, out in sweeps if spec.kind == kind]
+        # A checkpoint alone drives only the sweeps that can checkpoint.
+        expect_driven = mode != "checkpoint" or kind not in ("evolve", "route_hits")
+        assert any(out is not None for _spec, out in mine) == expect_driven
+        for spec, _out in mine:
+            for workers in (None, 1):
+                assert _run_sweep(spec, ExecutionPolicy(workers=workers)) is None
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +282,9 @@ class TestSerialParallelEquivalence:
         sources = np.arange(10) % op.num_states
         walks = [0, 1, 3, 7, 12]
         serial = op.variation_curves(sources, walks)
-        parallel = op.variation_curves(sources, walks, workers=workers)
+        parallel = op.variation_curves(
+            sources, walks, policy=ExecutionPolicy(workers=workers)
+        )
         assert np.array_equal(serial, parallel), f"{kind}: parallel curves drifted"
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -211,7 +293,9 @@ class TestSerialParallelEquivalence:
         op = make_operator(kind)
         sources = np.arange(8) % op.num_states
         serial = op.hitting_times(sources, 0.25, max_steps=40)
-        parallel = op.hitting_times(sources, 0.25, max_steps=40, workers=workers)
+        parallel = op.hitting_times(
+            sources, 0.25, max_steps=40, policy=ExecutionPolicy(workers=workers)
+        )
         assert np.array_equal(serial.times, parallel.times)
         assert np.array_equal(serial.final_distances, parallel.final_distances)
 
@@ -220,7 +304,7 @@ class TestSerialParallelEquivalence:
         op = make_operator(kind)
         block = op.point_mass_block(list(range(min(6, op.num_states))))
         serial = op.evolve_block(block.copy(), 9)
-        parallel = op.evolve_block(block.copy(), 9, workers=2)
+        parallel = op.evolve_block(block.copy(), 9, policy=ExecutionPolicy(workers=2))
         assert np.array_equal(serial, parallel)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -229,8 +313,10 @@ class TestSerialParallelEquivalence:
         op = make_operator("plain")
         sources = np.arange(11) % op.num_states
         walks = [0, 2, 5]
-        serial = op.variation_curves(sources, walks, block_size=3)
-        parallel = op.variation_curves(sources, walks, block_size=3, workers=workers)
+        serial = op.variation_curves(sources, walks, policy=ExecutionPolicy(block_size=3))
+        parallel = op.variation_curves(
+            sources, walks, policy=ExecutionPolicy(block_size=3, workers=workers)
+        )
         assert np.array_equal(serial, parallel)
 
     @pytest.mark.parametrize("count", [2, 3, 16, "n"])
@@ -245,7 +331,7 @@ class TestSerialParallelEquivalence:
             sources = np.arange(count) % n
         walks = [0, 1, 4]
         serial = op.variation_curves(sources, walks)
-        parallel = op.variation_curves(sources, walks, workers=3)
+        parallel = op.variation_curves(sources, walks, policy=ExecutionPolicy(workers=3))
         assert np.array_equal(serial, parallel)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -254,7 +340,9 @@ class TestSerialParallelEquivalence:
         sources = np.asarray([5, 0, 5, 2, 2, 7, 0], dtype=np.int64)
         walks = [1, 2, 6]
         serial = op.variation_curves(sources, walks)
-        parallel = op.variation_curves(sources, walks, workers=workers)
+        parallel = op.variation_curves(
+            sources, walks, policy=ExecutionPolicy(workers=workers)
+        )
         assert np.array_equal(serial, parallel)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -264,7 +352,7 @@ class TestSerialParallelEquivalence:
         walks = [0, 1, 3, 7]
         serial = originator_biased_curves(graph, sources, 0.2, walks)
         parallel = originator_biased_curves(
-            graph, sources, 0.2, walks, workers=workers
+            graph, sources, 0.2, walks, policy=ExecutionPolicy(workers=workers)
         )
         assert np.array_equal(serial, parallel)
 
@@ -287,7 +375,9 @@ class TestSerialParallelEquivalence:
         )
         workers = data.draw(st.sampled_from([2, 3, 4]), label="workers")
         serial = op.variation_curves(sources, walks)
-        parallel = op.variation_curves(sources, walks, workers=workers)
+        parallel = op.variation_curves(
+            sources, walks, policy=ExecutionPolicy(workers=workers)
+        )
         assert np.array_equal(serial, parallel)
 
 
@@ -299,7 +389,9 @@ class TestMeasurementLayer:
     def test_measure_mixing_workers(self):
         graph = _er_graph()
         serial = measure_mixing(graph, [1, 2, 5, 10], sources=40, seed=3)
-        parallel = measure_mixing(graph, [1, 2, 5, 10], sources=40, seed=3, workers=2)
+        parallel = measure_mixing(
+            graph, [1, 2, 5, 10], sources=40, seed=3, policy=ExecutionPolicy(workers=2)
+        )
         assert np.array_equal(serial.sources, parallel.sources)
         assert np.array_equal(serial.distances, parallel.distances)
 
@@ -307,7 +399,8 @@ class TestMeasurementLayer:
         graph = _er_graph()
         serial = estimate_mixing_time(graph, 0.2, sources=30, seed=3, max_steps=100)
         parallel = estimate_mixing_time(
-            graph, 0.2, sources=30, seed=3, max_steps=100, workers=2
+            graph, 0.2, sources=30, seed=3, max_steps=100,
+            policy=ExecutionPolicy(workers=2),
         )
         assert serial.walk_length == parallel.walk_length
         assert np.array_equal(serial.per_source, parallel.per_source)
@@ -322,7 +415,7 @@ class TestMeasurementLayer:
         )
         seeds = [0, 1, 2]
         serial = sybilrank(scenario, seeds)
-        parallel = sybilrank(scenario, seeds, workers=2)
+        parallel = sybilrank(scenario, seeds, policy=ExecutionPolicy(workers=2))
         assert np.array_equal(serial.scores, parallel.scores)
 
     def test_directed_curves_workers(self):
@@ -334,7 +427,7 @@ class TestMeasurementLayer:
         walks = [1, 2, 5]
         serial = directed_variation_curves(graph, sources, walks, damping=0.85)
         parallel = directed_variation_curves(
-            graph, sources, walks, damping=0.85, workers=2
+            graph, sources, walks, damping=0.85, policy=ExecutionPolicy(workers=2)
         )
         assert np.array_equal(serial, parallel)
 
@@ -351,7 +444,7 @@ class TestStress:
         sources = rng.integers(0, op.num_states, size=1000)
         walks = [1, 2, 5, 10, 20]
         serial = op.variation_curves(sources, walks)
-        parallel = op.variation_curves(sources, walks, workers=4)
+        parallel = op.variation_curves(sources, walks, policy=ExecutionPolicy(workers=4))
         assert np.array_equal(serial, parallel)
 
 

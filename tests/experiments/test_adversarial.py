@@ -150,6 +150,19 @@ class TestDeterminism:
         )
         assert np.array_equal(serial.counts, threaded.counts)
         assert np.array_equal(serial.counts, four.counts)
+        # Every registered attacker against every defense, serial vs a
+        # 2-worker thread pool, bit for bit.
+        everyone = dict(
+            strategies=list(available_attack_strategies()), sybil_sizes=[8],
+            max_suspects=10,
+        )
+        serial = tiny_sweep(honest, **everyone)
+        threaded = tiny_sweep(
+            honest, policy=ExecutionPolicy(workers=2, execution="threads"), **everyone
+        )
+        assert serial.strategies == tuple(available_attack_strategies())
+        assert np.array_equal(serial.counts, threaded.counts)
+        assert np.all(np.isfinite(serial.counts))
 
     def test_checkpoint_resume_recomputes_only_missing_cells(self, honest, tmp_path):
         ckpt = tmp_path / "ckpt"

@@ -59,6 +59,9 @@ class TestTrendMeasurements:
         assert np.array_equal(a["mixing"].distances, b["mixing"].distances)
         assert a["mixing"].distances.tobytes() == b["mixing"].distances.tobytes()
         assert a["slem"].slem.tobytes() == b["slem"].slem.tobytes()
+        for run in (a, b):
+            warm = run["slem"].warm_started
+            assert not warm[0] and warm[1:].any()
 
     def test_deterministic_across_calls(self, tiny_trend):
         again = trend_measurements(_config(), names=(_NAME,))

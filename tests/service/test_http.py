@@ -106,6 +106,15 @@ class TestErrorMapping:
         with pytest.raises(ConfigurationError, match="400"):
             client.mixing_time("era", 0, 1.5)
 
+    def test_out_of_range_source_is_400(self, client, graphs):
+        from repro.errors import ConfigurationError
+
+        n = graphs["era"].num_nodes
+        with pytest.raises(ConfigurationError, match="400.*out of range"):
+            client.mixing_time("era", n, 0.25)
+        with pytest.raises(ConfigurationError, match="400.*out of range"):
+            client.variation_curve("era", [0, -1], WALKS)
+
     def test_malformed_json_is_400(self, client):
         conn = client._conn
         conn.request(

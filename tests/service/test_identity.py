@@ -10,6 +10,8 @@ cold, cached, coalesced, via the batch adapters, workers 1 vs 2, warm
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.core.parallel import parallel_backend_available
 from repro.core.runtime import ExecutionPolicy
 from repro.core.spectral import slem
 from repro.core.walks import TransitionOperator
+from repro.errors import ConfigurationError
 from repro.service import OperatorRegistry, QueryEngine, ResultCache
 from repro.service.batch import (
     admission_via_service,
@@ -161,3 +164,39 @@ class TestCacheKeySeparation:
         b = engine.variation_curve("bridge", [0], [2, 4], laziness=0.5)
         assert a.fingerprint != b.fingerprint
         assert not np.array_equal(np.asarray(a.value), np.asarray(b.value))
+
+
+class TestFailureIsolation:
+    def test_out_of_range_query_never_fails_its_batch_mate(self, loader, graphs):
+        """A valid and an out-of-range query arriving in one coalescing
+        window: the valid one gets its serial answer, the invalid one a
+        caller error, instead of both failing in one shared sweep."""
+        n = graphs["era"].num_nodes
+        serial = TransitionOperator(graphs["era"]).hitting_times([3], EPSILON)
+        barrier = threading.Barrier(2)
+        outcomes = {}
+
+        def submit(name, source):
+            barrier.wait()
+            try:
+                outcomes[name] = engine.mixing_time("era", source, EPSILON)
+            except Exception as exc:
+                outcomes[name] = exc
+
+        with QueryEngine(
+            OperatorRegistry(capacity=2, loader=loader),
+            ResultCache(max_entries=16),
+            coalesce_window=0.25,
+        ) as engine:
+            threads = [
+                threading.Thread(target=submit, args=("valid", 3)),
+                threading.Thread(target=submit, args=("invalid", n + 4)),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        assert isinstance(outcomes["invalid"], ConfigurationError)
+        valid = outcomes["valid"]
+        assert valid.value["time"] == int(serial.times[0])
+        assert valid.value["final_distance"] == float(serial.final_distances[0])

@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import parallel_backend_available
-from repro.core.parallel import maybe_parallel_route_hits, maybe_parallel_route_tails
+from repro.core import ExecutionPolicy, parallel_backend_available
 from repro.graph import Graph
 from repro.sybil import RouteInstances, SybilGuard, SybilLimit, SybilLimitParams, no_attack_scenario
 from repro.sybil.routes import (
@@ -58,7 +57,9 @@ class TestBlockedEqualsReference:
         ri = RouteInstances(petersen, 5, seed=8)
         nodes = _nodes(petersen)
         baseline = ri._tails_at_lengths_reference(nodes, LENGTHS, seed=4)
-        got = ri.tails_at_lengths(nodes, LENGTHS, seed=4, block_size=block_size)
+        got = ri.tails_at_lengths(
+            nodes, LENGTHS, seed=4, policy=ExecutionPolicy(block_size=block_size)
+        )
         assert np.array_equal(got, baseline)
 
     def test_single_length_checkpoint(self, petersen):
@@ -177,10 +178,8 @@ class TestParallelRoutes:
         ri = RouteInstances(petersen, 3, seed=5)
         starts = np.tile(petersen.indptr[:-1], (3, 1)).astype(np.int64)
         for workers in (None, 0, 1):
-            assert (
-                maybe_parallel_route_tails(ri, starts, LENGTHS, workers=workers)
-                is None
-            )
+            policy = ExecutionPolicy(workers=workers)
+            assert ri._maybe_parallel_tails(starts, LENGTHS, policy) is None
 
     @needs_pool
     @pytest.mark.parametrize("workers", [2, 4])
@@ -188,16 +187,20 @@ class TestParallelRoutes:
         ri = RouteInstances(bridge_graph, 9, seed=29)
         nodes = _nodes(bridge_graph)
         serial = ri.tails_at_lengths(nodes, LENGTHS, seed=6)
-        parallel = ri.tails_at_lengths(nodes, LENGTHS, seed=6, workers=workers)
+        parallel = ri.tails_at_lengths(
+            nodes, LENGTHS, seed=6, policy=ExecutionPolicy(workers=workers)
+        )
         assert np.array_equal(serial, parallel)
 
     @needs_pool
     def test_parallel_tails_with_block_size(self, petersen):
         ri = RouteInstances(petersen, 7, seed=31)
         nodes = _nodes(petersen)
-        serial = ri.tails_at_lengths(nodes, LENGTHS, seed=7, block_size=2)
+        serial = ri.tails_at_lengths(
+            nodes, LENGTHS, seed=7, policy=ExecutionPolicy(block_size=2)
+        )
         parallel = ri.tails_at_lengths(
-            nodes, LENGTHS, seed=7, block_size=2, workers=2
+            nodes, LENGTHS, seed=7, policy=ExecutionPolicy(block_size=2, workers=2)
         )
         assert np.array_equal(serial, parallel)
 
@@ -213,8 +216,9 @@ class TestParallelRoutes:
         serial = route_hit_scan(
             table, bridge_graph.indices, src, mask, 0, table.size, 9
         )
-        parallel = maybe_parallel_route_hits(
-            table, bridge_graph.indices, src, mask, 9, workers=2
+        guard = SybilGuard(no_attack_scenario(bridge_graph), 9, seed=3)
+        parallel = guard._maybe_parallel_hits(
+            table, src, mask, ExecutionPolicy(workers=2)
         )
         assert parallel is not None
         assert np.array_equal(serial, parallel)
@@ -226,7 +230,7 @@ class TestParallelProtocols:
         scenario = no_attack_scenario(bridge_graph)
         guard = SybilGuard(scenario, 12, seed=41)
         serial = guard.run(0)
-        parallel = guard.run(0, workers=2)
+        parallel = guard.run(0, policy=ExecutionPolicy(workers=2))
         assert np.array_equal(serial.accepted, parallel.accepted)
         assert np.array_equal(serial.suspects, parallel.suspects)
 
@@ -238,7 +242,9 @@ class TestParallelProtocols:
         )
         walks = [2, 5, 10]
         serial = protocol.admission_sweep(0, walks, seed=9)
-        parallel = protocol.admission_sweep(0, walks, seed=9, workers=2)
+        parallel = protocol.admission_sweep(
+            0, walks, seed=9, policy=ExecutionPolicy(workers=2)
+        )
         for a, b in zip(serial, parallel):
             assert a.route_length == b.route_length
             assert np.array_equal(a.accepted, b.accepted)
