@@ -54,8 +54,8 @@ def result_metadata(config: ExperimentConfig) -> dict:
     return {
         "mode": config.mode,
         "seed": config.seed,
-        "workers": config.workers,
-        "evolution_block_size": config.evolution_block_size,
+        "workers": config.execution_policy.workers,
+        "evolution_block_size": config.execution_policy.block_size,
         "telemetry": OBS.enabled,
     }
 

@@ -227,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         metavar="NAME",
-        help="SpMM backend for block evolution (numpy, tiled, streaming, "
-        "float32; default numpy; float64 backends are bit-identical, "
+        help="SpMM backend for block evolution (numpy, streaming, float32; "
+        "default numpy; float64 backends are bit-identical, "
         "float32 trades precision for memory bandwidth; streaming walks "
         "the operator in --memory-budget sized stripes for out-of-core "
         "graphs)",

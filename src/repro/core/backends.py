@@ -9,10 +9,6 @@ lets that product be served by interchangeable kernels, selected via
 ``"numpy"`` (default)
     scipy's native ``block @ csr`` — bit-for-bit the kernels every
     pinned golden value was produced with.  Choosing it changes nothing.
-``"tiled"``
-    A cache-tiled pure-numpy CSC rank-stripe kernel that reproduces the
-    scipy accumulation order **exactly** (float64 output is
-    ``np.array_equal`` to the numpy backend).
 ``"float32"``
     Single-precision SpMM: the block and matrix are downcast to float32
     for the multiply and the result upcast to float64.  Cheap on
@@ -24,7 +20,7 @@ lets that product be served by interchangeable kernels, selected via
     sized to ``ExecutionPolicy(memory_budget=…)``, double-buffering the
     next stripe's load on a helper thread while the current stripe
     multiplies.  Each output column is accumulated wholly inside one
-    stripe in the same rank order as the tiled kernel, so the result is
+    stripe in scipy's own CSC order, so the result is
     bit-for-bit identical to the numpy oracle while only ever holding
     two stripes of matrix data in memory.  Combined with
     :class:`repro.graph.storage.MemmapGraph` (whose transition matrix
@@ -81,11 +77,6 @@ __all__ = [
 #: kernels, i.e. exactly the arithmetic all pinned values came from.
 DEFAULT_BACKEND = "numpy"
 
-#: Columns per tile in the pure-numpy stripe kernel: small enough that a
-#: tile's output columns stay cache-resident across its stripes, large
-#: enough to amortise the per-stripe fancy-indexing overhead.
-_TILE_COLS = 64
-
 #: Stripe-buffer budget the streaming backend assumes when prepared
 #: without an explicit ``memory_budget`` (the differential harness and
 #: in-memory callers): big enough that small graphs run in one stripe.
@@ -139,7 +130,7 @@ def _csc_arrays(matrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     transposed view: output column ``j`` accumulates
     ``X[:, rows[k]] * vals[k]`` over ``k`` in column ``j``'s slice, in
     increasing ``k`` (= increasing source-row) order.  Reproducing that
-    accumulation order is what makes the tiled backend bit-for-bit.
+    accumulation order is what makes the streaming backend bit-for-bit.
     """
     csc = matrix.tocsc()
     csc.sort_indices()
@@ -148,44 +139,6 @@ def _csc_arrays(matrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.ascontiguousarray(csc.indices),
         np.ascontiguousarray(csc.data, dtype=np.float64),
     )
-
-
-def _prepare_tiled(matrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Cache-tiled CSC rank-stripe SpMM, bit-identical to the oracle.
-
-    The pure-numpy path vectorises over *stripes*: stripe ``t`` touches,
-    for every column with at least ``t + 1`` entries, that column's
-    ``t``-th nonzero.  Within one column the stripes run in increasing
-    ``k`` order, so each output element accumulates its terms in exactly
-    the order scipy's ``csc_matvecs`` does — same floating-point
-    sequence, same bits.  Columns are processed in tiles of
-    :data:`_TILE_COLS` so a tile's output columns stay hot across its
-    stripes.
-    """
-    indptr, rows, vals = _csc_arrays(matrix)
-    n_cols = indptr.shape[0] - 1
-    deg = np.diff(indptr)
-    tiles: List[Tuple[int, int, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]] = []
-    for lo in range(0, n_cols, _TILE_COLS):
-        hi = min(lo + _TILE_COLS, n_cols)
-        tile_deg = deg[lo:hi]
-        tile_max = int(tile_deg.max()) if tile_deg.size else 0
-        stripes = []
-        for t in range(tile_max):
-            cols = lo + np.flatnonzero(tile_deg > t)
-            pos = indptr[cols] + t
-            stripes.append((cols, rows[pos], vals[pos]))
-        tiles.append((lo, hi, stripes))
-
-    def step(block: np.ndarray) -> np.ndarray:
-        x = np.asarray(block, dtype=np.float64)
-        out = np.zeros((x.shape[0], n_cols), dtype=np.float64)
-        for _lo, _hi, stripes in tiles:
-            for cols, srcs, weights in stripes:
-                out[:, cols] += x[:, srcs] * weights
-        return out
-
-    return step
 
 
 def _prepare_float32(matrix) -> Callable[[np.ndarray], np.ndarray]:
@@ -253,8 +206,8 @@ def _apply_csc_stripe(
     so striping cannot reassociate any sum: the result is independent of
     the stripe plan.
 
-    The rank-stripe scheme this replaces looped ``max(column degree)``
-    times per tile — O(max_deg) fancy-indexing passes, pathological on
+    A pure-numpy rank-stripe scheme would loop ``max(column degree)``
+    times — O(max_deg) fancy-indexing passes, pathological on
     power-law graphs whose hub columns are thousands deep.  Instead the
     stripe's transpose *is* a valid CSR matrix over the same arrays, and
     scipy's ``csr_matvecs`` kernel folds each output row strictly in
@@ -469,15 +422,6 @@ register_backend(
         numeric="float64",
         factory=_prepare_numpy,
         description="scipy native block x CSR (the oracle; default)",
-    )
-)
-register_backend(
-    SpmmBackend(
-        name="tiled",
-        numeric="float64",
-        factory=_prepare_tiled,
-        description="cache-tiled CSC rank-stripe kernel, bit-identical to "
-        "the oracle",
     )
 )
 register_backend(

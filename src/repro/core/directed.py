@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import ConvergenceError, NotConnectedError
 from ..graph.digraph import DiGraph, strongly_connected_components
 from .operators import MarkovOperator
-from .runtime import ExecutionPolicy, as_policy
+from .runtime import ExecutionPolicy
 
 __all__ = [
     "DirectedTransitionOperator",
@@ -202,8 +202,6 @@ def directed_variation_curves(
     *,
     damping: float = 1.0,
     operator: Optional[DirectedTransitionOperator] = None,
-    block_size: Optional[int] = None,
-    workers: Optional[int] = None,
     policy: Optional["ExecutionPolicy"] = None,
 ) -> np.ndarray:
     """Multi-source directed measurement: ``(s, w)`` TVD checkpoints.
@@ -221,5 +219,5 @@ def directed_variation_curves(
         sources,
         walk_lengths,
         reference=pi,
-        policy=as_policy(policy, workers=workers, block_size=block_size),
+        policy=policy,
     )

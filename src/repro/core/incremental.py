@@ -39,7 +39,7 @@ bit-for-bit.
 Matvecs route through the pluggable SpMM backend seam
 (:mod:`repro.core.backends`): non-default backends wrap their prepared
 step closure in a counted ``LinearOperator``, so the incremental path
-inherits the tiled / float32 / streaming kernels and their telemetry.
+inherits the float32 and streaming kernels and their telemetry.
 The default ``"numpy"`` backend takes a fast path — a counted native
 CSR matvec — because the numpy backend's step *is* the scipy product
 and the per-call wrapper overhead would otherwise dominate the solve.
@@ -58,7 +58,7 @@ from ..graph.temporal import EdgeDelta, TemporalGraph
 from ..obs import OBS
 from .backends import get_backend
 from .mixing import measure_mixing, sample_sources
-from .runtime import DEFAULT_POLICY, ExecutionPolicy, as_policy
+from .runtime import ExecutionPolicy, as_policy
 from .spectral import SpectralSummary, normalized_adjacency
 
 __all__ = [
@@ -287,7 +287,7 @@ def warm_spectral_extremes(
     """
     import scipy.sparse.linalg as spla
 
-    run_policy = as_policy(policy) if policy is not None else DEFAULT_POLICY
+    run_policy = as_policy(policy)
     warm_ok = (
         state is not None
         and state.n == graph.num_nodes

@@ -211,8 +211,6 @@ def measure_mixing(
     laziness: float = 0.0,
     check_aperiodic: bool = True,
     operator: Optional[MarkovOperator] = None,
-    block_size: Optional[int] = None,
-    workers: Optional[int] = None,
     policy: Optional[ExecutionPolicy] = None,
     mode: str = "point_mass",
 ) -> PerSourceMixing:
@@ -238,15 +236,6 @@ def measure_mixing(
         given, ``laziness``/``check_aperiodic`` are ignored.  Results
         are bit-identical to the cold path because the sweep itself is
         unchanged.
-    block_size:
-        Sources per evolution chunk; ``None`` sizes the chunk from the
-        operator layer's memory budget (see
-        :func:`~repro.core.operators.resolve_block_size`).
-    workers:
-        Process count for the shared-memory sweep runtime
-        (:mod:`repro.core.parallel`); ``None``/``1`` stays serial,
-        ``-1`` uses every core.  Parallel output is bit-for-bit equal
-        to serial.  Deprecated alias — prefer ``policy=``.
     policy:
         An :class:`~repro.core.runtime.ExecutionPolicy` bundling all
         execution knobs (workers, block size, retries, shard timeout,
@@ -270,7 +259,7 @@ def measure_mixing(
         raise ValueError("walk_lengths must be non-empty")
     if np.any(lengths < 0) or np.any(np.diff(lengths) <= 0):
         raise ValueError("walk_lengths must be strictly increasing and nonnegative")
-    run_policy = as_policy(policy, workers=workers, block_size=block_size)
+    run_policy = as_policy(policy)
 
     if mode == "uniform_start":
         if operator is None:
@@ -348,8 +337,6 @@ def estimate_mixing_time(
     seed=None,
     laziness: float = 0.0,
     operator: Optional[MarkovOperator] = None,
-    block_size: Optional[int] = None,
-    workers: Optional[int] = None,
     policy: Optional[ExecutionPolicy] = None,
     mode: str = "point_mass",
 ) -> MixingTimeEstimate:
@@ -376,7 +363,7 @@ def estimate_mixing_time(
     ``max_steps`` (partial results are attached to the error).
     """
     _check_mode(mode, laziness=laziness, operator=operator)
-    run_policy = as_policy(policy, workers=workers, block_size=block_size)
+    run_policy = as_policy(policy)
 
     if mode == "uniform_start":
         if operator is None:

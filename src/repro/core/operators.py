@@ -315,7 +315,6 @@ class MarkovOperator(ABC):
         block: np.ndarray,
         steps: int,
         *,
-        workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> np.ndarray:
         """A whole block after ``steps`` applications of P.
@@ -325,12 +324,11 @@ class MarkovOperator(ABC):
         the fault-tolerant process pool (rows are independent chains, so
         sharding is bit-for-bit neutral); the serial path runs whenever
         the pool is unavailable or pointless (see
-        :mod:`repro.core.parallel`).  The bare ``workers=`` kwarg is a
-        deprecated alias.
+        :mod:`repro.core.parallel`).
         """
         if steps < 0:
             raise ValueError("steps must be nonnegative")
-        policy = as_policy(policy, workers=workers)
+        policy = as_policy(policy)
         x = self._check_block(block)
         with OBS.span(
             "core.evolve_block",
@@ -395,7 +393,6 @@ class MarkovOperator(ABC):
         max_steps: int,
         *,
         reference: Optional[np.ndarray] = None,
-        workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> np.ndarray:
         """``curve[t] = || pi - pi^{(source)} P^t ||_1`` for t = 0..max_steps.
@@ -406,7 +403,6 @@ class MarkovOperator(ABC):
         """
         if max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
-        policy = as_policy(policy, workers=workers)
         return self.variation_curves(
             [source], np.arange(max_steps + 1), reference=reference, policy=policy
         )[0]
@@ -417,8 +413,6 @@ class MarkovOperator(ABC):
         walk_lengths: Sequence[int],
         *,
         reference: Optional[np.ndarray] = None,
-        block_size: Optional[int] = None,
-        workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> np.ndarray:
         """TVD to ``reference`` at each checkpoint for every source.
@@ -433,15 +427,14 @@ class MarkovOperator(ABC):
         fans the chunks out across the fault-tolerant shared-memory pool
         (:mod:`repro.core.parallel`) with bit-for-bit identical,
         order-preserving results, and ``checkpoint_dir`` persists/
-        resumes completed shards.  The bare ``workers=``/``block_size=``
-        kwargs are deprecated aliases.
+        resumes completed shards.
         """
         lengths = np.asarray(walk_lengths, dtype=np.int64).ravel()
         if lengths.size == 0:
             raise ValueError("walk_lengths must be non-empty")
         if np.any(lengths < 0) or np.any(np.diff(lengths) <= 0):
             raise ValueError("walk_lengths must be strictly increasing and nonnegative")
-        policy = as_policy(policy, workers=workers, block_size=block_size)
+        policy = as_policy(policy)
         src = np.asarray(sources, dtype=np.int64).ravel()
         ref = self.stationary() if reference is None else self._check_vector(
             reference, name="reference"
@@ -522,8 +515,6 @@ class MarkovOperator(ABC):
         *,
         max_steps: int = 10_000,
         reference: Optional[np.ndarray] = None,
-        block_size: Optional[int] = None,
-        workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> HittingTimes:
         """Per-source ``min { t : || ref - pi^{(i)} P^t ||_1 < eps }``.
@@ -542,7 +533,7 @@ class MarkovOperator(ABC):
             raise ValueError("epsilon must be in (0, 1)")
         if max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
-        policy = as_policy(policy, workers=workers, block_size=block_size)
+        policy = as_policy(policy)
         src = np.asarray(sources, dtype=np.int64).ravel()
         ref = self.stationary() if reference is None else self._check_vector(
             reference, name="reference"
@@ -659,7 +650,7 @@ class MarkovOperator(ABC):
             raise ValueError("walk_lengths must be non-empty")
         if np.any(lengths < 0) or np.any(np.diff(lengths) <= 0):
             raise ValueError("walk_lengths must be strictly increasing and nonnegative")
-        policy = policy if policy is not None else as_policy(None)
+        policy = as_policy(policy)
         x_all = self._check_block(block)
         ref = self.stationary() if reference is None else self._check_vector(
             reference, name="reference"
@@ -708,7 +699,7 @@ class MarkovOperator(ABC):
             raise ValueError("epsilon must be in (0, 1)")
         if max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
-        policy = policy if policy is not None else as_policy(None)
+        policy = as_policy(policy)
         x_all = self._check_block(block)
         ref = self.stationary() if reference is None else self._check_vector(
             reference, name="reference"

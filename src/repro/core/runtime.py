@@ -11,11 +11,10 @@ across every call site.  This module fixes both:
 
 * :class:`ExecutionPolicy` is the single object that carries every
   execution knob — worker count, chunk size, retry budget, per-shard
-  timeout, checkpoint directory — and is accepted as ``policy=`` by all
-  block APIs, sweeps and Sybil runners.  The legacy ``workers=`` /
-  ``block_size=`` kwargs keep working as deprecated aliases
-  (:func:`as_policy` maps them onto a policy and emits a
-  ``DeprecationWarning``).
+  timeout, checkpoint directory — and ``policy=`` is the only way block
+  APIs, sweeps and Sybil runners accept them (the former ``workers=`` /
+  ``block_size=`` kwargs are gone).  :func:`as_policy` maps ``None`` to
+  :data:`DEFAULT_POLICY`.
 * :func:`run_sharded` is the fault-tolerant executor the sweep driver
   (:func:`repro.core.parallel.run_sweep`) hands every sharded sweep to:
   failed shards (dead worker, timeout, unpicklable exception) are
@@ -58,7 +57,6 @@ import json
 import os
 import signal
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -76,6 +74,7 @@ __all__ = [
     "as_policy",
     "run_sharded",
     "sweep_fingerprint",
+    "validate_workers",
 ]
 
 #: Base of the exponential retry backoff (seconds): round ``k`` of
@@ -89,6 +88,34 @@ _FAULT_STATE_ENV = "REPRO_FAULT_INJECT_STATE"
 _FAULT_SLEEP_ENV = "REPRO_FAULT_INJECT_SLEEP"
 
 _CHECKPOINT_SCHEMA = "repro.runtime.checkpoint/v1"
+
+
+def validate_workers(workers: Optional[int]) -> Optional[int]:
+    """Validate a ``workers`` knob; returns it unchanged.
+
+    Accepts ``None`` (serial), ``-1`` (all cores) and positive integers,
+    numpy integers included.  Rejects ``0``, other negatives, booleans
+    and non-integers with :class:`~repro.errors.ConfigurationError` at
+    construction time, so a typo'd ``--workers`` fails in milliseconds
+    instead of silently degrading a multi-hour run.
+    :class:`ExecutionPolicy`, and through it ``--workers`` and
+    :class:`~repro.experiments.ExperimentConfig`, all apply this one
+    rule.  (The runtime-level :func:`repro.core.parallel.resolve_workers`
+    keeps its lenient ``0 -> serial`` contract for raw counts.)
+    """
+    if workers is None:
+        return None
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise ConfigurationError(
+            f"workers must be an integer, got {workers!r} ({type(workers).__name__})"
+        )
+    if workers == 0:
+        raise ConfigurationError(
+            "workers=0 is ambiguous; use workers=None (or omit the flag) for serial"
+        )
+    if workers < -1:
+        raise ConfigurationError(f"workers must be >= -1, got {workers}")
+    return workers
 
 
 # ----------------------------------------------------------------------
@@ -106,8 +133,8 @@ class ExecutionPolicy:
     Attributes
     ----------
     workers:
-        Process count for the shared-memory pool.  ``None``/``0``/``1``
-        stay serial, ``-1`` uses every core.
+        Process count for the shared-memory pool.  ``None``/``1`` stay
+        serial, ``-1`` uses every core (see :func:`validate_workers`).
     block_size:
         Rows per dense evolution chunk (``None`` → sized from the
         operator layer's memory budget).
@@ -174,14 +201,7 @@ class ExecutionPolicy:
     memory_budget: Optional[int] = None
 
     def __post_init__(self):
-        w = self.workers
-        if w is not None:
-            if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
-                raise ConfigurationError(
-                    f"workers must be an integer, got {w!r} ({type(w).__name__})"
-                )
-            if w < -1:
-                raise ConfigurationError(f"workers must be >= -1, got {w}")
+        validate_workers(self.workers)
         b = self.block_size
         if b is not None:
             if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 1:
@@ -230,43 +250,17 @@ class ExecutionPolicy:
 DEFAULT_POLICY = ExecutionPolicy()
 
 
-def as_policy(
-    policy: Optional[ExecutionPolicy] = None,
-    *,
-    workers: Optional[int] = None,
-    block_size: Optional[int] = None,
-    stacklevel: int = 3,
-) -> ExecutionPolicy:
-    """Merge the ``policy=`` kwarg with the deprecated legacy aliases.
-
-    * ``policy`` given, legacy kwargs absent → the policy, verbatim.
-    * legacy ``workers=``/``block_size=`` given → a one-off policy
-      wrapping them, plus a ``DeprecationWarning`` pointing at the call
-      site (``stacklevel`` hops up).
-    * both given → :class:`~repro.errors.ConfigurationError`; silently
-      preferring one over the other would make the other a no-op.
-    * neither given → :data:`DEFAULT_POLICY`.
-    """
-    if policy is not None:
-        if not isinstance(policy, ExecutionPolicy):
-            raise ConfigurationError(
-                f"policy must be an ExecutionPolicy, got {type(policy).__name__}"
-            )
-        if workers is not None or block_size is not None:
-            raise ConfigurationError(
-                "pass either policy= or the legacy workers=/block_size= kwargs, "
-                "not both (the legacy kwargs are deprecated aliases)"
-            )
-        return policy
-    if workers is None and block_size is None:
+def as_policy(policy: Optional[ExecutionPolicy] = None) -> ExecutionPolicy:
+    """The policy a sweep runs under: ``policy`` itself, or
+    :data:`DEFAULT_POLICY` when it is ``None``.  Anything else raises
+    :class:`~repro.errors.ConfigurationError`."""
+    if policy is None:
         return DEFAULT_POLICY
-    warnings.warn(
-        "the workers=/block_size= kwargs are deprecated; pass "
-        "policy=repro.ExecutionPolicy(workers=..., block_size=...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return ExecutionPolicy(workers=workers, block_size=block_size)
+    if not isinstance(policy, ExecutionPolicy):
+        raise ConfigurationError(
+            f"policy must be an ExecutionPolicy, got {type(policy).__name__}"
+        )
+    return policy
 
 
 # ----------------------------------------------------------------------

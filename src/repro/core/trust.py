@@ -168,8 +168,6 @@ def originator_biased_curves(
     beta: float,
     walk_lengths: Sequence[int],
     *,
-    block_size: Optional[int] = None,
-    workers: Optional[int] = None,
     policy: Optional["ExecutionPolicy"] = None,
 ) -> np.ndarray:
     """Batched originator-biased measurement: ``(s, w)`` distances.
@@ -185,7 +183,7 @@ def originator_biased_curves(
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must be in [0, 1)")
-    policy = as_policy(policy, workers=workers, block_size=block_size)
+    policy = as_policy(policy)
     lengths = np.asarray(walk_lengths, dtype=np.int64).ravel()
     if lengths.size == 0:
         raise ValueError("walk_lengths must be non-empty")

@@ -1,6 +1,7 @@
 """Experiment runners: one per paper table/figure plus ablations."""
 
-from .config import FAST, FULL, ExperimentConfig, validate_workers
+from ..core.runtime import validate_workers
+from .config import FAST, FULL, ExperimentConfig
 from .harness import (
     FigureResult,
     Series,

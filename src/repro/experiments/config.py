@@ -10,40 +10,13 @@ shapes* are the same in both modes — fast mode only adds sampling noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from ..core.runtime import ExecutionPolicy
+from ..core.runtime import ExecutionPolicy, as_policy
 from ..errors import ConfigurationError
 
-__all__ = ["ExperimentConfig", "FAST", "FULL", "validate_workers"]
-
-
-def validate_workers(workers: Optional[int]) -> Optional[int]:
-    """Parse-time validation of a ``workers`` knob; returns it unchanged.
-
-    Accepts ``None`` (serial), ``-1`` (all cores) and positive integers.
-    Rejects ``0``, other negatives, booleans and non-integers with
-    :class:`~repro.errors.ConfigurationError` — *before* any sweep runs,
-    so a typo'd ``--workers`` fails in milliseconds instead of silently
-    degrading a multi-hour run.  (The runtime-level
-    :func:`repro.core.parallel.resolve_workers` keeps its lenient
-    ``0 -> serial`` contract for programmatic callers; this gate is the
-    strict front door for configuration surfaces.)
-    """
-    if workers is None:
-        return None
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise ConfigurationError(
-            f"workers must be an integer, got {workers!r} ({type(workers).__name__})"
-        )
-    if workers == 0:
-        raise ConfigurationError(
-            "workers=0 is ambiguous; use workers=None (or omit the flag) for serial"
-        )
-    if workers < -1:
-        raise ConfigurationError(f"workers must be >= -1, got {workers}")
-    return workers
+__all__ = ["ExperimentConfig", "FAST", "FULL"]
 
 
 @dataclass(frozen=True)
@@ -60,20 +33,6 @@ class ExperimentConfig:
         The ε values at which bound curves are reported (Figures 1-2).
     short_walks / long_walks:
         Figure 3 / Figure 4 walk-length checkpoints (paper values).
-    evolution_block_size:
-        Sources per chunk in the batched Markov-operator evolution
-        (``None`` → sized automatically from the operator layer's memory
-        budget; see :func:`repro.core.operators.resolve_block_size`).
-        Exposed as a knob so scaling studies can trade memory for fewer,
-        larger SpMM calls.
-    workers:
-        Process count for the shared-memory sweep runtime
-        (:mod:`repro.core.parallel`); forwarded by every runner to its
-        multi-source measurements.  ``None``/``1`` stays serial, ``-1``
-        uses every core, and any value is bit-for-bit neutral — parallel
-        sweeps reproduce the serial numbers exactly, so results never
-        depend on this knob.  Set via the ``--workers`` CLI flag.
-        Validated at construction time by :func:`validate_workers`.
     telemetry:
         When true, the process-wide :data:`repro.obs.OBS` registry is
         enabled before the runner executes (via
@@ -83,11 +42,13 @@ class ExperimentConfig:
     policy:
         Optional :class:`~repro.core.runtime.ExecutionPolicy` bundling
         *all* execution knobs (workers, block size, retries, shard
-        timeout, checkpoint directory).  Mutually exclusive with the
-        legacy ``workers``/``evolution_block_size`` fields; runners read
-        the merged view via :attr:`execution_policy` either way.  Set
-        via the ``--checkpoint-dir``/``--max-retries``/``--shard-timeout``
-        CLI flags.
+        timeout, checkpoint directory, backend); ``None`` runs every
+        sweep under :data:`~repro.core.runtime.DEFAULT_POLICY`.  Every
+        knob is bit-for-bit neutral, so results never depend on it.
+        Runners read it, with ``telemetry`` folded in, via
+        :attr:`execution_policy`.  Set via the ``--workers``/
+        ``--block-size``/``--checkpoint-dir``/``--max-retries``/
+        ``--shard-timeout`` CLI flags.
     """
 
     mode: str = "fast"
@@ -100,8 +61,6 @@ class ExperimentConfig:
     epsilon_grid: Tuple[float, ...] = (0.25, 0.1, 0.05, 0.01, 1e-3, 1e-4)
     short_walks: Tuple[int, ...] = (1, 5, 10, 20, 40)
     long_walks: Tuple[int, ...] = (80, 100, 200, 300, 400, 500)
-    evolution_block_size: Optional[int] = None
-    workers: Optional[int] = None
     telemetry: bool = False
     policy: Optional[ExecutionPolicy] = None
 
@@ -115,39 +74,17 @@ class ExperimentConfig:
                     "datasets must be a non-empty sequence of registry names"
                 )
             object.__setattr__(self, "datasets", names)
-        validate_workers(self.workers)
-        if self.policy is not None:
-            if not isinstance(self.policy, ExecutionPolicy):
-                raise ConfigurationError(
-                    f"policy must be an ExecutionPolicy, got {type(self.policy).__name__}"
-                )
-            if self.workers is not None or self.evolution_block_size is not None:
-                raise ConfigurationError(
-                    "pass either policy= or the legacy workers=/evolution_block_size= "
-                    "knobs, not both"
-                )
-            validate_workers(self.policy.workers)
+        as_policy(self.policy)  # type check; None is the default policy
 
     @property
     def execution_policy(self) -> ExecutionPolicy:
-        """The :class:`~repro.core.runtime.ExecutionPolicy` runners forward.
-
-        An explicit ``policy=`` wins (with ``telemetry`` folded in);
-        otherwise the legacy ``workers`` / ``evolution_block_size``
-        knobs are packaged into a policy, so every runner goes through
-        one execution surface regardless of how the config was built.
-        """
-        if self.policy is not None:
-            if self.policy.telemetry != self.telemetry:
-                from dataclasses import replace
-
-                return replace(self.policy, telemetry=self.telemetry)
-            return self.policy
-        return ExecutionPolicy(
-            workers=self.workers,
-            block_size=self.evolution_block_size,
-            telemetry=self.telemetry,
-        )
+        """The :class:`~repro.core.runtime.ExecutionPolicy` runners forward:
+        ``policy`` (or :data:`~repro.core.runtime.DEFAULT_POLICY`) with
+        ``telemetry`` folded in."""
+        policy = as_policy(self.policy)
+        if policy.telemetry != self.telemetry:
+            return replace(policy, telemetry=self.telemetry)
+        return policy
 
     @property
     def is_fast(self) -> bool:

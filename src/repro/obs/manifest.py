@@ -6,7 +6,7 @@ single JSON document written next to an experiment's outputs that pins
 
 * the experiment name and when it ran,
 * the full :class:`~repro.experiments.config.ExperimentConfig` (seed,
-  mode, workers, block size, telemetry flag),
+  mode, execution policy, telemetry flag),
 * the datasets touched (when the runner reports them),
 * an environment fingerprint (python / numpy / scipy versions, platform,
   CPU count, every ``REPRO_*`` env var),

@@ -104,11 +104,11 @@ def sweep_hitting(kind: str, backend: str, **policy_kwargs):
 class TestRegistry:
     def test_builtin_backends_registered(self):
         assert DEFAULT_BACKEND == "numpy"
-        assert set(ALL_BACKENDS) >= {"numpy", "tiled", "float32"}
+        assert available_backends() == ("numpy", "float32", "streaming")
 
     def test_numerics(self):
         assert backend_numeric("numpy") == "float64"
-        assert backend_numeric("tiled") == "float64"
+        assert backend_numeric("streaming") == "float64"
         assert backend_numeric("float32") == "float32"
 
     def test_get_backend_unknown_raises_with_listing(self):
@@ -162,11 +162,6 @@ class TestRegistry:
             assert ExecutionPolicy(backend=name).backend == name
         with pytest.raises(ConfigurationError, match="unknown SpMM backend"):
             ExecutionPolicy(backend="bogus")
-
-    def test_tiled_kernel_matches_oracle(self):
-        got = sweep_curves("plain", "tiled")
-        want = sweep_curves("plain", "numpy")
-        assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -318,8 +313,8 @@ class TestSerialEquivalence:
 
     @pytest.mark.parametrize("kind", ["weighted", "lazy"])
     def test_thread_pool_identity_other_operators(self, kind):
-        serial = sweep_curves(kind, "tiled")
-        threaded = sweep_curves(kind, "tiled", workers=2, execution="threads")
+        serial = sweep_curves(kind, "streaming")
+        threaded = sweep_curves(kind, "streaming", workers=2, execution="threads")
         assert np.array_equal(serial, threaded)
 
 
@@ -348,7 +343,7 @@ class TestFaultTolerance:
             np.asarray(SOURCES), np.asarray(WALKS),
         )
         base = _operator_fingerprint(*args, backend="numpy")
-        assert _operator_fingerprint(*args, backend="tiled") == base
+        assert _operator_fingerprint(*args, backend="streaming") == base
         assert _operator_fingerprint(*args, backend="float32") != base
 
     def test_float32_checkpoints_not_served_to_each_other(self, tmp_path):

@@ -97,7 +97,7 @@ class TestFallbackRules:
         assert spec.kind == "curves"
         return out
 
-    @pytest.mark.parametrize("workers", [None, 0, 1])
+    @pytest.mark.parametrize("workers", [None, 1])
     def test_serial_worker_counts_fall_back(self, workers, sweeps):
         op = make_operator("plain")
         op.variation_curves(

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.sparse import random as sparse_random
 
+from repro.core import ExecutionPolicy
 from repro.core.parallel import (
     _ATTACHED,
     _attach,
@@ -151,5 +152,7 @@ def test_no_stray_segments_after_parallel_sweep():
     before = _segments()
     op = make_operator("plain")
     sources = np.arange(op.num_states, dtype=np.int64)
-    op.variation_curves(sources, [1, 3], block_size=4, workers=2)
+    op.variation_curves(
+        sources, [1, 3], policy=ExecutionPolicy(workers=2, block_size=4)
+    )
     assert _segments() == before

@@ -58,7 +58,14 @@ class TestExecutionPolicy:
         with pytest.raises(ConfigurationError):
             ExecutionPolicy(workers=-2)
 
-    @pytest.mark.parametrize("ok", [None, -1, 0, 1, 2, np.int64(4)])
+    def test_workers_rejects_zero(self):
+        # Same rule as --workers and ExperimentConfig: 0 is ambiguous.
+        with pytest.raises(ConfigurationError, match="ambiguous"):
+            ExecutionPolicy(workers=0)
+        with pytest.raises(ConfigurationError, match="ambiguous"):
+            ExecutionPolicy(workers=np.int64(0))
+
+    @pytest.mark.parametrize("ok", [None, -1, 1, 2, 64, np.int64(4)])
     def test_workers_accepts_valid(self, ok):
         assert ExecutionPolicy(workers=ok).workers == ok
 
@@ -92,7 +99,7 @@ class TestExecutionPolicy:
 
 
 # ----------------------------------------------------------------------
-# as_policy: the legacy-kwarg bridge
+# as_policy: None -> DEFAULT_POLICY, anything else type-checked
 # ----------------------------------------------------------------------
 class TestAsPolicy:
     def test_policy_passthrough_verbatim(self):
@@ -102,24 +109,6 @@ class TestAsPolicy:
     def test_neither_gives_default_singleton(self):
         assert as_policy() is DEFAULT_POLICY
         assert as_policy(None) is DEFAULT_POLICY
-
-    def test_legacy_kwargs_emit_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="workers=/block_size="):
-            p = as_policy(workers=2, block_size=16)
-        assert p.workers == 2
-        assert p.block_size == 16
-
-    def test_legacy_block_size_alone_warns(self):
-        with pytest.warns(DeprecationWarning):
-            p = as_policy(block_size=8)
-        assert p.block_size == 8
-        assert p.workers is None
-
-    def test_both_raise_configuration_error(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            as_policy(ExecutionPolicy(), workers=2)
-        with pytest.raises(ConfigurationError, match="not both"):
-            as_policy(ExecutionPolicy(), block_size=4)
 
     def test_non_policy_object_rejected(self):
         with pytest.raises(ConfigurationError, match="ExecutionPolicy"):

@@ -177,7 +177,7 @@ class TestParallelRoutes:
     def test_workers_none_or_one_is_serial(self, petersen):
         ri = RouteInstances(petersen, 3, seed=5)
         starts = np.tile(petersen.indptr[:-1], (3, 1)).astype(np.int64)
-        for workers in (None, 0, 1):
+        for workers in (None, 1):
             policy = ExecutionPolicy(workers=workers)
             assert ri._maybe_parallel_tails(starts, LENGTHS, policy) is None
 

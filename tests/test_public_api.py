@@ -14,6 +14,7 @@ Regenerate the manifest after an *intentional* surface change with::
 
 from __future__ import annotations
 
+import inspect
 from pathlib import Path
 
 import pytest
@@ -142,3 +143,57 @@ class TestPolicySurface:
     def test_frozen(self):
         with pytest.raises(Exception):
             api.DEFAULT_POLICY.workers = 4
+
+
+class TestPolicyIsTheOnlyExecutionKnob:
+    """No public entry point takes ``workers``/``block_size`` directly:
+    execution knobs travel on ``policy=ExecutionPolicy(...)`` only.  The
+    policy itself and the worker-count helpers are the exceptions."""
+
+    KNOBS = {"workers", "block_size"}
+    OWNERS = {"ExecutionPolicy", "resolve_workers", "validate_workers"}
+
+    @staticmethod
+    def _params(fn) -> set:
+        try:
+            return set(inspect.signature(fn).parameters)
+        except (TypeError, ValueError):  # builtins without a signature
+            return set()
+
+    def _public_callables(self):
+        from repro.experiments.whanau_tails import tail_arc_distributions
+
+        yield "tail_arc_distributions", tail_arc_distributions
+        for name in api.__all__:
+            obj = getattr(api, name)
+            if name in self.OWNERS or not callable(obj):
+                continue
+            yield name, obj
+            if inspect.isclass(obj):
+                for attr, member in inspect.getmembers(obj, callable):
+                    if not attr.startswith("_"):
+                        yield f"{name}.{attr}", member
+
+    def test_no_public_callable_takes_execution_knobs(self):
+        offenders = sorted(
+            f"{name}({', '.join(sorted(self._params(fn) & self.KNOBS))})"
+            for name, fn in self._public_callables()
+            if self._params(fn) & self.KNOBS
+        )
+        assert not offenders, f"pass these via policy= instead: {offenders}"
+
+    def test_walk_covers_the_sweep_entry_points(self):
+        """Vacuity guard: the walk reaches the methods it must check."""
+        names = {name for name, _fn in self._public_callables()}
+        for expected in (
+            "measure_mixing",
+            "MarkovOperator.variation_curves",
+            "TransitionOperator.hitting_times",
+            "RouteInstances.tails_at_lengths",
+            "SybilLimit.admission_sweep",
+            "SybilGuard.run",
+            "sybilrank",
+            "ExperimentConfig",
+            "as_policy",
+        ):
+            assert expected in names
